@@ -1076,13 +1076,12 @@ let serve_bench () =
   (* --- ingest throughput: the per-delivery accumulator merge *)
   let wcfg = Option.get (Workloads.by_name app_name) in
   let cfg_static = Workloads.build_cfg wcfg in
+  (* collected the way Serve collects: a per-chunk arena through the
+     staged compiled-kernel profiler *)
   let chunk input =
-    Profile.collect ~max_samples:512 ~lengths:Workloads.lengths
-      ~events:chunk_events
-      ~make_source:(fun () ->
-        App_model.source (App_model.create ~cfg:cfg_static ~config:wcfg ~input ()))
-      ~make_predictor:(Whisper_sim.Runner.lbr_predictor 64)
-      ()
+    Whisper_sim.Runner.lbr_profile ~max_samples:512 ~kb:64 ~events:chunk_events
+      (Arena.build ~events:chunk_events
+         (App_model.create ~cfg:cfg_static ~config:wcfg ~input ()))
   in
   let window = List.init 4 chunk in
   let samples_per_round =

@@ -836,6 +836,11 @@ let serve_cmd =
         max_steps;
       }
     in
+    (match Whisper_sim.Serve.validate cfg with
+    | Ok () -> ()
+    | Error msg ->
+        Printf.eprintf "serve: invalid configuration: %s\n" msg;
+        exit 1);
     let o = Whisper_sim.Serve.run cfg in
     Printf.eprintf
       "serve: manifest %s — %d steps, %d completed, %d resumed\n"

@@ -247,6 +247,30 @@ let lbr_predictor kb () =
     p.train ~pc ~taken;
     pred = taken
 
+(* Stage the LBR baseline once: the compiled TAGE-SC-L kernel fills a
+   verdict bitmap in one monomorphic pass, and both profiling passes
+   replay it through a cursor.  Collection calls the predictor exactly
+   once per event in order with a fresh instance per pass, so the cursor
+   sequence is byte-identical to a fresh closure predictor per pass —
+   while running the predictor once instead of twice and at compiled
+   speed (profiles equal the closure path's, which the runner catalog
+   and serve differential tests enforce). *)
+let lbr_profile ?max_samples ~kb ~events arena =
+  if events > Arena.length arena then
+    invalid_arg "Runner.lbr_profile: events exceeds arena length";
+  let verdicts = Bytes.create events in
+  (Tage_scl.compiled (Sizes.for_budget ~kb)).Predictor.Compiled.fill ~arena
+    ~n:events ~verdicts;
+  let make_predictor () =
+    let i = ref 0 in
+    fun ~pc:_ ~taken:_ ->
+      let v = Bytes.get verdicts !i <> '\000' in
+      incr i;
+      v
+  in
+  Profile.collect_arena ?max_samples ~lengths:Workloads.lengths ~events ~arena
+    ~make_predictor ()
+
 let profile_key ctx app ~inputs ~kb =
   Printf.sprintf "%s/%s/%d/%d" app.Workloads.name
     (String.concat "," (List.map string_of_int inputs))
@@ -260,29 +284,7 @@ let profile ?(inputs = [ 0 ]) ?baseline_kb ctx app =
       Tm.incr m_profiles;
       let one input =
         match ctx.replay_mode with
-        | `Arena ->
-            (* Stage the LBR baseline once: the compiled TAGE-SC-L kernel
-               fills a verdict bitmap in one monomorphic pass, and both
-               profiling passes replay it through a cursor.  Collection
-               calls the predictor exactly once per event in order with a
-               fresh instance per pass, so the cursor sequence is
-               byte-identical to a fresh closure predictor per pass —
-               while running the predictor once instead of twice and at
-               compiled speed (profiles equal the closure path's, which
-               the runner catalog tests enforce end to end). *)
-            let a = arena ctx app ~input in
-            let verdicts = Bytes.create ctx.ev in
-            (Tage_scl.compiled (Sizes.for_budget ~kb)).Predictor.Compiled.fill
-              ~arena:a ~n:ctx.ev ~verdicts;
-            let make_predictor () =
-              let i = ref 0 in
-              fun ~pc:_ ~taken:_ ->
-                let v = Bytes.get verdicts !i <> '\000' in
-                incr i;
-                v
-            in
-            Profile.collect_arena ~lengths:Workloads.lengths ~events:ctx.ev
-              ~arena:a ~make_predictor ()
+        | `Arena -> lbr_profile ~kb ~events:ctx.ev (arena ctx app ~input)
         | `Closure ->
             Profile.collect ~lengths:Workloads.lengths ~events:ctx.ev
               ~make_source:(fun () -> source ctx app ~input)

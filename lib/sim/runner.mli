@@ -108,7 +108,26 @@ val lbr_predictor : int -> unit -> pc:int -> taken:bool -> bool
     the LBR-style "was the baseline right" bit production profiling
     exposes.  Each application returns an independent predictor
     instance (collection replays the stream twice against fresh
-    state). *)
+    state).  Production collection goes through {!lbr_profile}; this
+    closure serves only the [`Closure] replay oracle, the
+    differential tests and the benchmark's traced serve replay. *)
+
+val lbr_profile :
+  ?max_samples:int ->
+  kb:int ->
+  events:int ->
+  Whisper_trace.Arena.t ->
+  Whisper_trace.Profile.t
+(** The staged LBR profile of an arena's first [events] events, against
+    a fresh [kb]-budget TAGE-SC-L baseline: the compiled kernel
+    ({!Whisper_bpu.Tage_scl.compiled}) fills the per-event verdicts once
+    and both {!Whisper_trace.Profile.collect_arena} passes replay them.
+    Byte-identical to {!Whisper_trace.Profile.collect} over the same
+    stream with [make_predictor:(lbr_predictor kb)].  The one staged
+    collector: {!profile} ([`Arena] replay) and [Serve] chunk
+    collection both call it.  [max_samples] as in
+    {!Whisper_trace.Profile.collect}.
+    @raise Invalid_argument if [events] exceeds the arena's length. *)
 
 val arena :
   ctx -> Whisper_trace.Workloads.config -> input:int -> Whisper_trace.Arena.t

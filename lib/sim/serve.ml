@@ -276,21 +276,19 @@ type env = {
 let phase_of cfg ~gen =
   match cfg.drift_flip with Some f when gen >= f -> 1 | _ -> 0
 
-(* One collection window's chunk, regenerated deterministically from
+(* One collection window's chunk, collected from a per-chunk arena by the
+   staged compiled-kernel profiler and regenerated deterministically from
    (config, app, gen) — including the delivery-time corruption, which is
    pure in (fault_seed, step key).  This is what makes lost chunk files
    recoverable on resume. *)
 let collect_chunk env st ~gen =
   let phase = phase_of env.cfg ~gen in
-  let input = gen + 2 in
+  let events = env.cfg.chunk_events in
   let profile =
-    Profile.collect ~max_samples:env.cfg.max_samples ~lengths:Workloads.lengths
-      ~events:env.cfg.chunk_events
-      ~make_source:(fun () ->
-        App_model.source
-          (App_model.create ~phase ~cfg:st.cfg_static ~config:st.wcfg ~input ()))
-      ~make_predictor:(Runner.lbr_predictor env.cfg.kb)
-      ()
+    Runner.lbr_profile ~max_samples:env.cfg.max_samples ~kb:env.cfg.kb ~events
+      (Arena.build ~events
+         (App_model.create ~phase ~cfg:st.cfg_static ~config:st.wcfg
+            ~input:(gen + 2) ()))
   in
   let clean = Profile_chunk.encode ~app:st.name ~seq:gen profile in
   match env.fault with
@@ -636,7 +634,23 @@ let count_steps steps f = List.length (List.filter f steps)
 (* Run                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let validate cfg =
+  match
+    List.find_opt
+      (fun (_, v) -> v < 1)
+      [
+        ("chunk_events", cfg.chunk_events);
+        ("window", cfg.window);
+        ("max_samples", cfg.max_samples);
+      ]
+  with
+  | Some (field, v) -> Error (Printf.sprintf "%s must be >= 1 (got %d)" field v)
+  | None -> Ok ()
+
 let run cfg =
+  Result.iter_error
+    (fun msg -> invalid_arg ("Serve.run: " ^ msg))
+    (validate cfg);
   let manifest = plan cfg in
   let mid = Manifest.id manifest in
   let total = Array.length manifest.Manifest.items in

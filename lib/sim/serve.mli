@@ -99,10 +99,16 @@ type outcome = {
   interrupted : bool;
 }
 
+val validate : config -> (unit, string) result
+(** [Error] names the first of [chunk_events], [window] and
+    [max_samples] that is below 1. *)
+
 val run : config -> outcome
 (** Execute (or resume) the scripted scenario.  The ledger and summary
     are deterministic functions of the config — independent of job
-    count, kills and resumes. *)
+    count, kills and resumes.
+    @raise Invalid_argument when {!validate} rejects the config, before
+    the state dir is touched. *)
 
 val decide_rollout :
   incumbent:float option -> candidate:float -> [ `Rollback | `Rollout ]

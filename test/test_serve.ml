@@ -15,7 +15,13 @@
      byte-identical to an uninterrupted run, faults included;
    - the scripted phase flip drives coverage down, triggers re-analysis
      and recovers (check_recovery holds);
-   - the rollout rule prefers the incumbent on a strict loss.
+   - the rollout rule prefers the incumbent on a strict loss;
+   - the staged compiled-kernel collector Serve uses (Runner.lbr_profile)
+     produces exactly the closure Profile.collect chunk;
+   - a tiny fixed scenario's ledger and summary match a pinned digest, so
+     a collector change that alters any chunk fails here;
+   - non-positive chunk_events / window / max_samples are rejected before
+     the state dir is touched.
 
    State dirs go through Test_dirs so runtest leaves nothing behind. *)
 
@@ -294,6 +300,39 @@ let test_corrupt_chunk_rejected () =
     check_bool "rejected deliveries leave the accumulator untouched" true
       (before = profile_bytes (Profile_chunk.profile a))
 
+(* Staged vs closure collection: Serve's chunks come from
+   Runner.lbr_profile over a per-chunk arena; the closure path is the
+   oracle.  Compared as chunk bytes and through the canonical merge —
+   raw Profile_io images are insertion-order sensitive. *)
+let qcheck_lbr_profile_matches_closure =
+  QCheck.Test.make ~name:"lbr_profile = closure Profile.collect" ~count:40
+    QCheck.(
+      quad (int_bound 1) (int_bound 4)
+        (oneofl [ 0; 1; 7; 9; 5000 ])
+        (pair (int_range 1 64) (oneofl [ 8; 64 ])))
+    (fun (phase, input, events, (max_samples, kb)) ->
+      let model () =
+        App_model.create ~phase ~cfg:tiny_cfg ~config:tiny_config ~input ()
+      in
+      let closure =
+        Profile.collect ~max_samples ~lengths:Workloads.lengths ~events
+          ~make_source:(fun () -> App_model.source (model ()))
+          ~make_predictor:(Whisper_sim.Runner.lbr_predictor kb)
+          ()
+      in
+      let staged =
+        Whisper_sim.Runner.lbr_profile ~max_samples ~kb ~events
+          (Arena.build ~events (model ()))
+      in
+      let chunk p = Profile_chunk.encode ~app:"serve-test" ~seq:0 p in
+      let canon p =
+        profile_bytes
+          (Profile_chunk.merge_profiles ~max_samples ~lengths:Workloads.lengths
+             [ p ])
+      in
+      Bytes.equal (chunk closure) (chunk staged)
+      && Bytes.equal (canon closure) (canon staged))
+
 (* ------------------------------------------------------------------ *)
 (* Rescore codec                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +481,48 @@ let test_serve_stationary_no_flip () =
     | Error _ -> true
     | Ok () -> false)
 
+(* Pinned on the closure-collector implementation: every ledger line
+   carries its chunk's content key, so any collector change that alters
+   one chunk byte (or the plans built from it) changes this digest. *)
+let test_serve_golden_ledger () =
+  let cfg =
+    {
+      (Whisper_sim.Serve.default ~state_dir:(Test_dirs.fresh "serve_golden"))
+      with
+      Whisper_sim.Serve.generations = 2;
+      chunk_events = 40_000;
+      drift_flip = Some 1;
+    }
+  in
+  let o = Whisper_sim.Serve.run cfg in
+  let text = String.concat "\n" (o.Whisper_sim.Serve.ledger @ o.summary) in
+  check_string
+    (Printf.sprintf "ledger + summary digest of:\n%s\n" text)
+    "04cc121b9246c3f721d9c9522435d7ef"
+    (Digest.to_hex (Digest.string text))
+
+let test_serve_rejects_bad_config () =
+  List.iter
+    (fun (bad, expect) ->
+      let state_dir = Test_dirs.fresh "serve_invalid" in
+      let cfg = bad (Whisper_sim.Serve.default ~state_dir) in
+      (match Whisper_sim.Serve.run cfg with
+      | _ -> Alcotest.failf "accepted an invalid config (%s)" expect
+      | exception Invalid_argument msg ->
+          check_string "message names the field" ("Serve.run: " ^ expect) msg);
+      check_bool (expect ^ ": state dir untouched") false
+        (Sys.file_exists state_dir))
+    [
+      ( (fun c -> { c with Whisper_sim.Serve.chunk_events = -5 }),
+        "chunk_events must be >= 1 (got -5)" );
+      ( (fun c -> { c with Whisper_sim.Serve.chunk_events = 0 }),
+        "chunk_events must be >= 1 (got 0)" );
+      ( (fun c -> { c with Whisper_sim.Serve.window = 0 }),
+        "window must be >= 1 (got 0)" );
+      ( (fun c -> { c with Whisper_sim.Serve.max_samples = 0 }),
+        "max_samples must be >= 1 (got 0)" );
+    ]
+
 let () =
   Alcotest.run "whisper_serve"
     [
@@ -460,6 +541,7 @@ let () =
             test_duplicate_is_counted_noop;
           Alcotest.test_case "corrupt chunks are typed rejections" `Quick
             test_corrupt_chunk_rejected;
+          QCheck_alcotest.to_alcotest qcheck_lbr_profile_matches_closure;
         ] );
       ( "rescore",
         [
@@ -478,5 +560,9 @@ let () =
             test_serve_drift_recovery;
           Alcotest.test_case "stationary scenario" `Slow
             test_serve_stationary_no_flip;
+          Alcotest.test_case "golden ledger digest" `Quick
+            test_serve_golden_ledger;
+          Alcotest.test_case "invalid config rejected up front" `Quick
+            test_serve_rejects_bad_config;
         ] );
     ]
