@@ -1290,7 +1290,8 @@ let hintbuf_ablation ctx =
 let emit_telemetry () =
   let module T = Whisper_util.Telemetry in
   let write render path =
-    T.write_file ~path (render (T.snapshot ()));
+    Whisper_util.Durable.write_atomic path
+      (Bytes.of_string (render (T.snapshot ())));
     Printf.printf "  wrote %s\n%!" path
   in
   Option.iter (write T.to_json_string) (Sys.getenv_opt "WHISPER_METRICS_OUT");

@@ -169,12 +169,14 @@ let emit_telemetry ?(summary = false) ~metrics_out ~trace_out () =
         (T.summary_lines snap);
     Option.iter
       (fun path ->
-        T.write_file ~path (T.to_json_string snap);
+        Whisper_util.Durable.write_atomic path
+          (Bytes.of_string (T.to_json_string snap));
         Printf.eprintf "telemetry: metrics written to %s\n" path)
       metrics_out;
     Option.iter
       (fun path ->
-        T.write_file ~path (T.to_chrome snap);
+        Whisper_util.Durable.write_atomic path
+          (Bytes.of_string (T.to_chrome snap));
         Printf.eprintf "telemetry: trace written to %s\n" path)
       trace_out
   end
@@ -501,10 +503,9 @@ let experiment_cmd =
             Printf.printf "\n%!";
             Option.iter
               (fun dir ->
-                (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                let oc = open_out (Filename.concat dir (id ^ ".csv")) in
-                output_string oc (Whisper_sim.Report.to_csv report);
-                close_out oc)
+                Whisper_util.Durable.write_atomic
+                  (Filename.concat dir (id ^ ".csv"))
+                  (Bytes.of_string (Whisper_sim.Report.to_csv report)))
               csv_dir)
       ids;
     (* End-of-run accounting (sims, cache traffic, faults, degradations)

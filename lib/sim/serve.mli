@@ -20,8 +20,10 @@
     Crash safety mirrors {!Sweep}: the scenario is frozen into a
     content-keyed {!Whisper_util.Manifest}, every completed
     (generation, app) step appends its canonical {e ledger line} to a
-    checksummed {!Whisper_util.Journal} bound to the manifest id, and
-    chunk/plan artifacts are stored tmp+rename under the state dir.
+    checksummed {!Whisper_util.Journal} bound to the manifest id (both
+    opened through {!Whisper_util.Journal.resume}), and chunk/plan
+    artifacts are stored with {!Whisper_util.Durable.write_atomic} under
+    the state dir.
     [kill -9] at any instant loses at most the in-flight step: resuming
     replays the journal (verifying rolled-out plan files by digest —
     anything inconsistent re-executes) and the final ledger is

@@ -142,12 +142,6 @@ let decode_all ~manifest_id b =
           corrupt_tail = dropped > 0;
         }
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_all fd b =
   let n = Bytes.length b in
   let off = ref 0 in
@@ -158,7 +152,7 @@ let write_all fd b =
 let open_append path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644
 
 let create ~path ~manifest_id =
-  mkdir_p (Filename.dirname path);
+  Durable.mkdir_p (Filename.dirname path);
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
@@ -166,24 +160,21 @@ let create ~path ~manifest_id =
   { jpath = path; fd = Some fd }
 
 let open_existing ~path ~manifest_id =
-  if not (Sys.file_exists path) then
-    Error
-      (Whisper_error.make ~context:path Whisper_error.Journal
-         (Whisper_error.Malformed "no such journal"))
-  else
-    let b = Binio.of_file path in
-    match decode_all ~manifest_id b with
-    | Error e -> Error e
-    | Ok recovery ->
-        if recovery.corrupt_tail then begin
-          (* truncate the torn suffix atomically, caches-style: rewrite
-             the good prefix next to the file and rename over it *)
-          let keep = Bytes.length b - recovery.dropped_bytes in
-          let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-          Binio.to_file tmp (Bytes.sub b 0 keep);
-          Sys.rename tmp path
-        end;
-        Ok ({ jpath = path; fd = Some (open_append path) }, recovery)
+  match Durable.read path with
+  | None ->
+      Error
+        (Whisper_error.make ~context:path Whisper_error.Journal
+           (Whisper_error.Malformed "no such journal"))
+  | Some b -> (
+      match decode_all ~manifest_id b with
+      | Error e -> Error e
+      | Ok recovery ->
+          (* truncate the torn suffix atomically: rewrite the good
+             prefix and rename it over the journal *)
+          if recovery.corrupt_tail then
+            Durable.write_atomic path
+              (Bytes.sub b 0 (Bytes.length b - recovery.dropped_bytes));
+          Ok ({ jpath = path; fd = Some (open_append path) }, recovery))
 
 let append t e =
   match t.fd with
@@ -202,3 +193,38 @@ let close t =
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
 let path t = t.jpath
+
+type resumed = {
+  journal : t;
+  prior : (string, entry) Hashtbl.t;
+  recovered : bool;
+  dropped_bytes : int;
+}
+
+let resume ~resume ~dir manifest =
+  let manifest_path = Filename.concat dir "manifest.bin" in
+  let journal_path = Filename.concat dir "journal.bin" in
+  let mid = Manifest.id manifest in
+  let prior = Hashtbl.create 64 in
+  let reopened =
+    if not resume then None
+    else
+      match Manifest.load ~path:manifest_path with
+      | Ok m when Manifest.id m = mid ->
+          Result.to_option (open_existing ~path:journal_path ~manifest_id:mid)
+      | Ok _ | Error _ -> None
+  in
+  match reopened with
+  | Some (journal, r) ->
+      (* the last record per key wins: a crash between an artifact store
+         and its append re-journals the key on re-execution *)
+      List.iter (fun e -> Hashtbl.replace prior e.key e) r.entries;
+      { journal; prior; recovered = true; dropped_bytes = r.dropped_bytes }
+  | None ->
+      Manifest.save manifest ~path:manifest_path;
+      {
+        journal = create ~path:journal_path ~manifest_id:mid;
+        prior;
+        recovered = false;
+        dropped_bytes = 0;
+      }

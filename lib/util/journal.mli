@@ -6,8 +6,8 @@
     done.  A process killed with [SIGKILL] at any instant therefore
     leaves either a fully decodable journal, or one with a torn final
     record — and recovery handles the torn case by {e truncating} the
-    corrupt suffix (tmp + rename, like the persistent caches) and
-    counting what was dropped, so the affected items simply re-run.
+    corrupt suffix ({!Durable.write_atomic}) and counting what was
+    dropped, so the affected items simply re-run.
 
     Records carry a marker byte, a length-guarded varint payload size
     and an 8-byte payload digest; the header binds the journal to one
@@ -51,6 +51,26 @@ val append : t -> entry -> unit
 
 val close : t -> unit
 val path : t -> string
+
+(** {2 Resuming a journaled job} *)
+
+type resumed = {
+  journal : t;  (** open for appends *)
+  prior : (string, entry) Hashtbl.t;
+      (** the last record per key (empty on a fresh start) *)
+  recovered : bool;  (** an existing journal was reopened *)
+  dropped_bytes : int;  (** torn suffix truncated away *)
+}
+
+val resume : resume:bool -> dir:string -> Manifest.t -> resumed
+(** The one resume sequence of sweeps and serve, over
+    [<dir>/manifest.bin] and [<dir>/journal.bin].  With [resume], a
+    saved manifest with the same {!Manifest.id} and a journal bound to
+    it are reopened ({!open_existing}).  Otherwise — [resume] false,
+    manifest missing or different, journal missing, foreign or
+    undecodable — the manifest is saved and a fresh journal created.
+    @raise Sys_error or [Unix.Unix_error] when the state directory is
+    not writable. *)
 
 val entry_equal : entry -> entry -> bool
 

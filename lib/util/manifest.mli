@@ -12,7 +12,8 @@
     Files follow the persistent caches' discipline: magic tag, varint
     format version, count-guarded decoding through {!Binio} (every
     failure a typed {!Whisper_error.t} with stage [Manifest]), and
-    tmp+rename stores so readers never observe a torn manifest. *)
+    {!Durable.write_atomic} stores so readers never observe a torn
+    manifest. *)
 
 type item = { key : string; spec : string }
 (** [key] is the item's stable result key; [spec] is an opaque,
@@ -37,7 +38,7 @@ val decode : bytes -> (t, Whisper_error.t) result
     come back as typed [Error]s (stage [Manifest]). *)
 
 val save : t -> path:string -> unit
-(** Atomic store (tmp + rename).  Creates parent directories.
+(** {!Durable.write_atomic}: creates parent directories.
     @raise Sys_error when the destination is not writable. *)
 
 val load : path:string -> (t, Whisper_error.t) result

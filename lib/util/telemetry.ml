@@ -393,10 +393,3 @@ let to_chrome s =
          ("traceEvents", Sjson.Arr events);
          ("displayTimeUnit", Sjson.Str "ms");
        ])
-
-let write_file ~path content =
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  let oc = open_out tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path

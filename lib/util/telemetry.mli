@@ -141,6 +141,3 @@ val to_chrome : snapshot -> string
 (** Chrome [trace_events] JSON (load into [about://tracing] or
     [ui.perfetto.dev]): one complete ("ph":"X") event per span, one
     track per domain. *)
-
-val write_file : path:string -> string -> unit
-(** Write atomically enough for CI consumption (tmp + rename). *)

@@ -501,6 +501,35 @@ let test_serve_golden_ledger () =
     "04cc121b9246c3f721d9c9522435d7ef"
     (Digest.to_hex (Digest.string text))
 
+let test_serve_manifest_change_invalidates_journal () =
+  let mk ?(redeliver = true) state_dir =
+    {
+      (Whisper_sim.Serve.default ~state_dir) with
+      Whisper_sim.Serve.generations = 2;
+      chunk_events = 40_000;
+      drift_flip = Some 1;
+      redeliver;
+    }
+  in
+  let dir = Test_dirs.fresh "serve_rekey" in
+  ignore
+    (Whisper_sim.Serve.run
+       { (mk dir) with Whisper_sim.Serve.max_steps = Some 2 });
+  (* same state dir, different scenario: the journal must not be trusted *)
+  let o =
+    Whisper_sim.Serve.run
+      { (mk ~redeliver:false dir) with Whisper_sim.Serve.resume = true }
+  in
+  check_bool "journal not recovered" false
+    o.Whisper_sim.Serve.journal_recovered;
+  check_int "nothing resumed across manifests" 0 o.Whisper_sim.Serve.resumed;
+  let clean =
+    Whisper_sim.Serve.run
+      (mk ~redeliver:false (Test_dirs.fresh "serve_rekey_clean"))
+  in
+  check_bool "ledger identical to a clean run of the new scenario" true
+    (clean.Whisper_sim.Serve.ledger = o.Whisper_sim.Serve.ledger)
+
 let test_serve_rejects_bad_config () =
   List.iter
     (fun (bad, expect) ->
@@ -562,6 +591,8 @@ let () =
             test_serve_stationary_no_flip;
           Alcotest.test_case "golden ledger digest" `Quick
             test_serve_golden_ledger;
+          Alcotest.test_case "manifest change invalidates journal" `Quick
+            test_serve_manifest_change_invalidates_journal;
           Alcotest.test_case "invalid config rejected up front" `Quick
             test_serve_rejects_bad_config;
         ] );

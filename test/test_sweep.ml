@@ -337,6 +337,32 @@ let test_manifest_change_invalidates_journal () =
   check_int "nothing resumed across manifests" 0 o.Whisper_sim.Sweep.resumed;
   check_int "everything re-ran" 12 o.completed
 
+(* Hang faults fire only on a first attempt, so the attempt budget
+   shapes the quarantine set: a journal written under one budget must
+   not be replayed under another. *)
+let test_max_attempts_rekeys_manifest () =
+  let chaos ~max_attempts cfg =
+    { cfg with Whisper_sim.Sweep.faults = 0.35; fault_seed = 5; max_attempts }
+  in
+  let clean =
+    Whisper_sim.Sweep.run
+      (chaos ~max_attempts:3 (base_cfg ~state_dir:(fresh_dir ())))
+  in
+  let dir = fresh_dir () in
+  let one = chaos ~max_attempts:1 (base_cfg ~state_dir:dir) in
+  let o1 = Whisper_sim.Sweep.run one in
+  check_bool "the budget changes the quarantine set" true
+    (o1.Whisper_sim.Sweep.quarantined <> clean.Whisper_sim.Sweep.quarantined);
+  let o =
+    Whisper_sim.Sweep.run
+      { one with Whisper_sim.Sweep.max_attempts = 3; resume = true }
+  in
+  check_int "nothing resumed across budgets" 0 o.Whisper_sim.Sweep.resumed;
+  check_int "same quarantine set as the clean run" clean.quarantined
+    o.quarantined;
+  check_string "same report as the clean run" (report_bytes clean)
+    (report_bytes o)
+
 (* ------------------------------------------------------------------ *)
 (* Process mode (needs the CLI binary; skips when absent)             *)
 (* ------------------------------------------------------------------ *)
@@ -431,6 +457,8 @@ let () =
               test_resume_chain_three_kills;
             test_case "manifest change invalidates journal" `Quick
               test_manifest_change_invalidates_journal;
+            test_case "max_attempts change re-keys the manifest" `Quick
+              test_max_attempts_rekeys_manifest;
             test_case "process mode report == in-process report" `Quick
               test_process_mode_matches_inprocess;
             test_case "spawn failure degrades to in-process" `Quick
