@@ -503,11 +503,11 @@ let search_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* Times the packed-arena replay path against the closure-source seed
-   path at three levels — raw event delivery, single-technique
-   simulations, and a multi-technique batch sharing one arena — and
-   asserts at every level that the two paths produce byte-identical
-   results.  Numbers land in a machine-readable JSON file so the perf
-   trajectory is tracked across PRs.
+   path (the tests' Whisper_oracle) at three levels — raw event
+   delivery, single-technique simulations, and a multi-technique batch
+   sharing one arena — and asserts at every level that the two paths
+   produce byte-identical results.  Numbers land in a machine-readable
+   JSON file so the perf trajectory is tracked across PRs.
 
    Extra environment:
      WHISPER_BENCH_SMOKE   short mode for CI
@@ -591,12 +591,19 @@ let replay_bench () =
   let source () =
     App_model.source (App_model.create ~cfg ~config:app ~input:1 ())
   in
+  (* the shared training profile, collected once outside every timed
+     region: the arena side reads it from the ctx memo, the closure side
+     is handed it, so no row times its collection *)
+  let train_profile = Runner.profile ~baseline_kb:64 ctx app in
   let tech_rows =
     List.map
       (fun (label, t) ->
         let closure_s, rc =
           time_once (fun () ->
-              let exec = Runner.make_exec ctx app t ~train_inputs:[ 0 ] ~kb:64 in
+              let exec =
+                Whisper_oracle.exec ~profile:train_profile ctx app t
+                  ~train_inputs:[ 0 ] ~kb:64
+              in
               Whisper_pipeline.Machine.run ~events:n_events ~source:(source ())
                 ~predict:exec ())
         in
@@ -604,7 +611,6 @@ let replay_bench () =
           time_once (fun () ->
               let exec =
                 Runner.make_exec_arena ctx app t ~train_inputs:[ 0 ] ~kb:64
-                  ~arena
               in
               Whisper_pipeline.Machine.run_arena_exec ~events:n_events ~arena
                 ~exec ())
@@ -743,27 +749,33 @@ let replay_bench () =
   (* --- end-to-end multi-technique batch: every technique over the same
      (app, input), which is exactly the sharing the arena exists for.
      Cold = arena built in-run; warm = arena served from the persistent
-     cache populated by a prior invocation. *)
+     cache populated by a prior invocation.  The closure side is the
+     oracle's batch: one closure profile, then each technique's training
+     and closure simulation. *)
   let sims = List.map (fun (_, t) -> Runner.sim app t) techniques in
-  let batch ?cache_dir ~replay ~jobs () =
+  let batch ?cache_dir ~jobs () =
     let ctx =
-      Runner.create_ctx ~events:n_events ~baseline_kb:64 ~jobs ~replay
-        ?cache_dir ()
+      Runner.create_ctx ~events:n_events ~baseline_kb:64 ~jobs ?cache_dir ()
     in
     let wall, () = time_once (fun () -> Runner.run_batch ctx sims) in
     ( wall,
       List.map (fun (_, t) -> Runner.run ctx app t) techniques,
       Runner.stats ctx )
   in
-  let closure_s, closure_results, _ = batch ~replay:`Closure ~jobs:1 () in
-  let closure4_s, closure4_results, _ = batch ~replay:`Closure ~jobs:4 () in
-  let cold_s, cold_results, cold_stats = batch ~replay:`Arena ~jobs:1 () in
+  let closure_batch ~jobs =
+    let ctx = Runner.create_ctx ~events:n_events ~baseline_kb:64 ~jobs () in
+    time_once (fun () ->
+        Whisper_oracle.run_batch ~jobs ctx app (List.map snd techniques))
+  in
+  let closure_s, closure_results = closure_batch ~jobs:1 in
+  let closure4_s, closure4_results = closure_batch ~jobs:4 in
+  let cold_s, cold_results, cold_stats = batch ~jobs:1 () in
   if closure_results <> cold_results then
     failwith "arena batch diverges from closure batch";
   if closure4_results <> cold_results then
     failwith "closure batch diverges across job counts";
   (* parallel determinism: the same arena shared across domains *)
-  let par_s, par_results, _ = batch ~replay:`Arena ~jobs:4 () in
+  let par_s, par_results, _ = batch ~jobs:4 () in
   if par_results <> cold_results then
     failwith "arena batch diverges across job counts";
   (* warm: prepopulate only the arena cache (not the result cache), so
@@ -781,7 +793,7 @@ let replay_bench () =
   let load_ctx = Runner.create_ctx ~events:n_events ~cache_dir:cache_root () in
   let load_s, _ = time_once (fun () -> Runner.arena load_ctx app ~input:1) in
   let warm_s, warm_results, warm_stats =
-    batch ~cache_dir:cache_root ~replay:`Arena ~jobs:1 ()
+    batch ~cache_dir:cache_root ~jobs:1 ()
   in
   if warm_results <> cold_results then
     failwith "warm arena batch diverges from cold";
@@ -834,15 +846,14 @@ let replay_bench () =
   in
   let delivery_speedup = closure_delivery_s /. arena_delivery_s in
   (* --- telemetry overhead on the replay hot path: the same arena replay
-     through Machine.run_arena with recording enabled vs disabled.  The
+     through the [Oracle] strategy with recording enabled vs disabled.  The
      instrumentation contract is flush-once-per-run (no per-event work),
      so the difference should be noise-level; the perf gate holds it
      under max(5%, 5 ns/event). *)
   let telemetry_probe () =
     ignore
-      (Whisper_pipeline.Machine.run_arena ~events:n_events ~arena
-         ~predict:(fun (_ : int) -> true)
-         ())
+      (Whisper_pipeline.Machine.run_arena_exec ~events:n_events ~arena
+         ~exec:Whisper_pipeline.Machine.Oracle ())
   in
   (* the probe is memory-bound, so a single window jitters (and the
      machine drifts thermally) by several percent — far more than the

@@ -65,28 +65,6 @@ let jobs_arg =
           "Worker domains for independent simulations (default: the \
            recommended domain count)")
 
-let replay_arg =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "arena" -> Ok `Arena
-    | "closure" -> Ok `Closure
-    | s -> Error (`Msg (Printf.sprintf "unknown replay mode %S" s))
-  in
-  let print fmt (r : Whisper_sim.Runner.replay) =
-    Format.pp_print_string fmt
-      (match r with `Arena -> "arena" | `Closure -> "closure")
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) `Arena
-    & info [ "replay" ] ~docv:"MODE"
-        ~env:(Cmd.Env.info "WHISPER_REPLAY")
-        ~doc:
-          "Event delivery for simulations: $(b,arena) (default) decodes each \
-           (app, input) stream once into a packed buffer shared across \
-           techniques and worker domains; $(b,closure) regenerates events \
-           per simulation (the differential oracle).  Results are identical")
-
 let no_cache_arg =
   Arg.(
     value & flag
@@ -181,12 +159,12 @@ let emit_telemetry ?(summary = false) ~metrics_out ~trace_out () =
       trace_out
   end
 
-let make_ctx ~events ~baseline_kb ~jobs ~replay ~no_cache ~cache_dir
+let make_ctx ~events ~baseline_kb ~jobs ~no_cache ~cache_dir
     ?(faults = 0.0) ?(fault_seed = 42) ?(retries = 2) ?task_timeout () =
   let cache_dir = if no_cache then None else Some cache_dir in
   (* an injected hang must outlast the timeout, or it would never trip it *)
   let hang_s = Option.map (fun t -> 1.5 *. t) task_timeout in
-  Whisper_sim.Runner.create_ctx ~events ~baseline_kb ~jobs ~replay ?cache_dir
+  Whisper_sim.Runner.create_ctx ~events ~baseline_kb ~jobs ?cache_dir
     ~faults ~fault_seed ~retries ?task_timeout ?hang_s ()
 
 let input_arg =
@@ -227,11 +205,11 @@ let technique_arg =
            branchnet32k, branchnet, whisper")
 
 let simulate_cmd =
-  let run app technique events input kb jobs replay no_cache cache_dir
+  let run app technique events input kb jobs no_cache cache_dir
       metrics_out trace_out =
     let app = find_app app in
     let ctx =
-      make_ctx ~events ~baseline_kb:kb ~jobs ~replay ~no_cache ~cache_dir ()
+      make_ctx ~events ~baseline_kb:kb ~jobs ~no_cache ~cache_dir ()
     in
     let r = Whisper_sim.Runner.run ~test_input:input ctx app technique in
     emit_telemetry ~metrics_out ~trace_out ();
@@ -256,7 +234,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Simulate one application under one technique")
     Term.(
       const run $ app_arg $ technique_arg $ events_arg 1_200_000 $ input_arg
-      $ kb_arg $ jobs_arg $ replay_arg $ no_cache_arg $ cache_dir_arg
+      $ kb_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg
       $ metrics_out_arg $ trace_out_arg)
 
 let profile_cmd =
@@ -444,10 +422,10 @@ let experiment_cmd =
       value & opt (some string) None
       & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Also write results as CSV files")
   in
-  let run id events kb csv_dir jobs replay no_cache cache_dir faults fault_seed
+  let run id events kb csv_dir jobs no_cache cache_dir faults fault_seed
       retries task_timeout metrics_out trace_out =
     let ctx =
-      make_ctx ~events ~baseline_kb:kb ~jobs ~replay ~no_cache ~cache_dir
+      make_ctx ~events ~baseline_kb:kb ~jobs ~no_cache ~cache_dir
         ~faults ~fault_seed ~retries ?task_timeout ()
     in
     let chaos = faults > 0.0 || task_timeout <> None in
@@ -517,7 +495,7 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Regenerate a paper table or figure")
     Term.(
       const run $ id_arg $ events_arg 1_200_000 $ kb_arg $ csv_arg $ jobs_arg
-      $ replay_arg $ no_cache_arg $ cache_dir_arg $ faults_arg $ fault_seed_arg
+      $ no_cache_arg $ cache_dir_arg $ faults_arg $ fault_seed_arg
       $ retries_arg $ task_timeout_arg $ metrics_out_arg $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -25,5 +25,4 @@ let make ~log_entries =
     train = (fun ~pc ~taken -> update_t t ~pc ~taken);
     spectate = (fun ~pc:_ ~taken:_ -> ());
     storage_bits = bits t;
-    is_oracle = false;
   }

@@ -93,7 +93,6 @@ let predictor ?(n_lengths = 9) ?(max_len = 1024) () =
     train = (fun ~pc ~taken -> train t ~pc ~taken);
     spectate = (fun ~pc:_ ~taken -> spectate t ~taken);
     storage_bits = 0;
-    is_oracle = false;
   }
 
 let exec t ~pc ~taken =

@@ -4,7 +4,6 @@ type t = {
   train : pc:int -> taken:bool -> unit;
   spectate : pc:int -> taken:bool -> unit;
   storage_bits : int;
-  is_oracle : bool;
 }
 
 module Compiled = struct
@@ -23,15 +22,4 @@ let always_taken () =
     train = (fun ~pc:_ ~taken:_ -> ());
     spectate = (fun ~pc:_ ~taken:_ -> ());
     storage_bits = 0;
-    is_oracle = false;
-  }
-
-let ideal () =
-  {
-    name = "ideal";
-    predict = (fun ~pc:_ -> true);
-    train = (fun ~pc:_ ~taken:_ -> ());
-    spectate = (fun ~pc:_ ~taken:_ -> ());
-    storage_bits = 0;
-    is_oracle = true;
   }

@@ -1,15 +1,17 @@
 (** Uniform interface over all branch direction predictors in the study.
 
     The simulation protocol is strict: for every dynamic branch the runner
-    calls [predict ~pc] first and then exactly one of
+    calls exactly one of
 
-    - [train ~pc ~taken] — full update (counters, allocation, history), or
-    - [spectate ~pc ~taken] — history-only update.
+    - [predict ~pc] then [train ~pc ~taken] — the predictor's own
+      prediction, then a full update (counters, allocation, history), or
+    - [spectate ~pc ~taken] alone — a history-only update for a branch
+      some other mechanism predicted (a hint); [predict] is not called.
 
-    [spectate] models Whisper's run-time rule that hinted branches do not
-    allocate or train predictor state, freeing capacity for the remaining
-    branches (paper §IV, "Run-time hint usage"), while the global history
-    must still advance with the branch's outcome. *)
+    [spectate] models Whisper's run-time rule that hinted branches neither
+    read, allocate nor train predictor state, freeing capacity for the
+    remaining branches (paper §IV, "Run-time hint usage"), while the
+    global history must still advance with the branch's outcome. *)
 
 type t = {
   name : string;
@@ -18,8 +20,6 @@ type t = {
       (** must follow a [predict] call for the same branch *)
   spectate : pc:int -> taken:bool -> unit;
   storage_bits : int;  (** approximate hardware budget of the predictor *)
-  is_oracle : bool;
-      (** oracle predictors are always counted correct by runners *)
 }
 
 (** Staged arena kernels: the compiled counterpart of {!t} for the
@@ -50,7 +50,3 @@ end
 
 val always_taken : unit -> t
 (** Static predictor, the weakest baseline. *)
-
-val ideal : unit -> t
-(** The paper's ideal direction predictor (Fig. 1): every conditional
-    branch direction is predicted correctly. *)

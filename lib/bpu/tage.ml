@@ -287,7 +287,6 @@ let predictor p =
     train = (fun ~pc ~taken -> train t ~pc ~taken);
     spectate = (fun ~pc ~taken -> spectate t ~pc ~taken);
     storage_bits = storage_bits t;
-    is_oracle = false;
   }
 
 let exec t ~pc ~taken =

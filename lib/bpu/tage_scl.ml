@@ -65,7 +65,6 @@ let predictor sizes =
     train = (fun ~pc ~taken -> train t ~pc ~taken);
     spectate = (fun ~pc ~taken -> spectate t ~pc ~taken);
     storage_bits = storage_bits t;
-    is_oracle = false;
   }
 
 let exec t ~pc ~taken =

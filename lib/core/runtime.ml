@@ -104,7 +104,7 @@ module Reference = struct
           t.n_base <- t.n_base + 1;
           let pred = t.base.predict ~pc in
           t.base.train ~pc ~taken;
-          t.base.is_oracle || pred = taken
+          pred = taken
     in
     (* 3. advance Whisper's folded-history mirror *)
     History.push_all t.hist t.folded taken;
@@ -260,7 +260,7 @@ let baseline_predict t ~pc ~taken =
   t.n_base <- t.n_base + 1;
   let pred = t.base.Whisper_bpu.Predictor.predict ~pc in
   t.base.train ~pc ~taken;
-  t.base.is_oracle || pred = taken
+  pred = taken
 
 let exec_at t ~block ~pc ~taken =
   (* 1. execute any brhints hosted in this block: a contiguous CSR entry

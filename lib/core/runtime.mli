@@ -42,7 +42,7 @@ val exec_at : t -> block:int -> pc:int -> taken:bool -> bool
 
 val exec_arena : t -> arena:Whisper_trace.Arena.t -> int -> bool
 (** [exec_arena t ~arena i] is {!exec_at} on the arena's [i]th event —
-    the batched replay path wired through [Machine.run_arena], reading
+    the batched replay path (pass 1 of [Runner]'s staged fill), reading
     event fields straight out of the arena's packed columns. *)
 
 val predictor_name : t -> string

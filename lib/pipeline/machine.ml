@@ -110,11 +110,10 @@ let verdicts_for n =
   if Bytes.length !r < n then r := Bytes.create n;
   !r
 
-(* The closure path ([run]) and the packed-arena paths ([run_arena] /
-   [run_arena_exec]) feed the same accounting core, so their results are
-   byte-identical by construction; only the per-event fetch differs. *)
+(* The closure path ([run]) and the packed-arena path ([run_arena_exec])
+   feed the same accounting core, so their results are byte-identical by
+   construction; only the per-event fetch differs. *)
 type arena_exec =
-  | Indexed of (int -> bool)
   | Oracle
   | Compiled of (arena:Arena.t -> n:int -> verdicts:Bytes.t -> unit)
 
@@ -224,14 +223,6 @@ let run_impl ~(params : Params.t) ~segments ~events feed =
             ~taken:e.Branch.taken ~correct:(predict e)
         done
       done
-  | From_arena (a, Indexed predict) ->
-      for seg = 0 to segments - 1 do
-        let lo, hi = seg_bounds seg in
-        for ev = lo to hi do
-          account ~seg ~pc:(Arena.pc a ev) ~instrs:(Arena.instrs a ev)
-            ~taken:(Arena.taken a ev) ~correct:(predict ev)
-        done
-      done
   | From_arena (a, Oracle) ->
       for seg = 0 to segments - 1 do
         let lo, hi = seg_bounds seg in
@@ -281,9 +272,6 @@ let run ?(params = Params.default) ?(segments = 10) ~events ~source ~predict ()
 let run_arena_exec ?(params = Params.default) ?(segments = 10) ~events ~arena
     ~exec () =
   if events > Arena.length arena then
-    invalid_arg "Machine.run_arena: events exceeds arena length";
-  Whisper_util.Telemetry.span "machine.run_arena" (fun () ->
+    invalid_arg "Machine.run_arena_exec: events exceeds arena length";
+  Whisper_util.Telemetry.span "machine.run_arena_exec" (fun () ->
       run_impl ~params ~segments ~events (From_arena (arena, exec)))
-
-let run_arena ?params ?segments ~events ~arena ~predict () =
-  run_arena_exec ?params ?segments ~events ~arena ~exec:(Indexed predict) ()

@@ -65,10 +65,6 @@ val run :
     correctly. *)
 
 type arena_exec =
-  | Indexed of (int -> bool)
-      (** Legacy per-event closure: [predict i] receives the event index,
-          reads whatever arena fields it needs, and must follow the same
-          predict/train protocol as {!run}'s callback. *)
   | Oracle
       (** Every prediction is correct — the [ideal] technique with zero
           per-event predictor work. *)
@@ -76,27 +72,12 @@ type arena_exec =
       (arena:Whisper_trace.Arena.t -> n:int -> verdicts:Bytes.t -> unit)
       (** Staged kernel, dispatched to exactly once per run: [fill] must
           write, for each event index [i < n], a non-['\000'] byte into
-          [verdicts.[i]] iff the predictor's predict→train protocol got
-          event [i]'s direction right.  The buffer is machine-owned
-          per-domain scratch (reused across runs, at least [n] bytes,
-          bytes beyond [n] unspecified).  See
+          [verdicts.[i]] iff the technique got event [i]'s direction
+          right.  The buffer is machine-owned per-domain scratch (reused
+          across runs, at least [n] bytes, bytes beyond [n] unspecified),
+          so a kernel may also use it for its own per-event state before
+          writing the final verdicts.  See
           {!Whisper_bpu.Predictor.Compiled} for the producing side. *)
-
-val run_arena :
-  ?params:Params.t ->
-  ?segments:int ->
-  events:int ->
-  arena:Whisper_trace.Arena.t ->
-  predict:(int -> bool) ->
-  unit ->
-  result
-(** Replay path: same timing model fed by direct indexed reads from a
-    packed {!Whisper_trace.Arena} instead of a closure source — no
-    [Branch.event] is allocated per event.  Equivalent to
-    [run_arena_exec ~exec:(Indexed predict)].
-    Both entry points share one accounting core, so for equal streams
-    and predictors the results are byte-identical.
-    @raise Invalid_argument if [events] exceeds the arena's length. *)
 
 val run_arena_exec :
   ?params:Params.t ->
@@ -106,9 +87,11 @@ val run_arena_exec :
   exec:arena_exec ->
   unit ->
   result
-(** Like {!run_arena} but with the execution strategy made explicit.
-    All three strategies feed the same accounting core: for the same
-    arena and the same predictor decisions the results are byte-identical
-    regardless of strategy — the compiled path is gated on that equality
-    by catalog tests, fuzz, and an in-bench assert.
+(** Replay path: the same timing model as {!run}, fed by direct indexed
+    reads from a packed {!Whisper_trace.Arena} instead of a closure
+    source — no [Branch.event] is allocated per event — with the
+    technique's verdicts coming from one [exec] strategy per run.  Both
+    entry points share one accounting core, so for the same stream and
+    the same predictor decisions the results are byte-identical; {!run}
+    is the reference the tests compare every strategy against.
     @raise Invalid_argument if [events] exceeds the arena's length. *)

@@ -131,7 +131,7 @@ module Runtime = struct
       | None ->
           let pred = rt.base.predict ~pc in
           rt.base.train ~pc ~taken;
-          rt.base.is_oracle || pred = taken
+          pred = taken
     in
     rt.ghist <- (rt.ghist lsl 1) lor (if taken then 1 else 0);
     correct

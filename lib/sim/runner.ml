@@ -44,13 +44,10 @@ type stats = {
   arena_cache_misses : int;
 }
 
-type replay = [ `Arena | `Closure ]
-
 type ctx = {
   mutable ev : int;
   base_kb : int;
   mutable n_jobs : int;
-  mutable replay_mode : replay;
   cache : Result_cache.t option;
   arena_cache : Arena_cache.t option;
   fault : Whisper_util.Fault.t option;
@@ -74,8 +71,8 @@ type ctx = {
 }
 
 let create_ctx ?(events = 1_200_000) ?(baseline_kb = 64) ?(jobs = 1)
-    ?(replay = `Arena) ?cache_dir ?(faults = 0.0) ?(fault_seed = 42)
-    ?(retries = 2) ?task_timeout ?hang_s () =
+    ?cache_dir ?(faults = 0.0) ?(fault_seed = 42) ?(retries = 2) ?task_timeout
+    ?hang_s () =
   let fault =
     if faults > 0.0 then
       Some (Whisper_util.Fault.create ~seed:fault_seed ?hang_s ~rate:faults ())
@@ -109,7 +106,6 @@ let create_ctx ?(events = 1_200_000) ?(baseline_kb = 64) ?(jobs = 1)
     ev = events;
     base_kb = baseline_kb;
     n_jobs = max 1 jobs;
-    replay_mode = replay;
     cache = Option.map (fun dir -> Result_cache.create ?corrupt ~dir ()) cache_dir;
     arena_cache =
       Option.map
@@ -143,8 +139,6 @@ let set_events ctx e = ctx.ev <- e
 let baseline_kb ctx = ctx.base_kb
 let jobs ctx = ctx.n_jobs
 let set_jobs ctx j = ctx.n_jobs <- max 1 j
-let replay ctx = ctx.replay_mode
-let set_replay ctx r = ctx.replay_mode <- r
 let cache_dir ctx = Option.map Result_cache.dir ctx.cache
 
 let stats ctx =
@@ -282,14 +276,7 @@ let profile ?(inputs = [ 0 ]) ?baseline_kb ctx app =
   memo ctx ctx.profiles key (fun () ->
       Tm.span ("profile/" ^ app.Workloads.name) @@ fun () ->
       Tm.incr m_profiles;
-      let one input =
-        match ctx.replay_mode with
-        | `Arena -> lbr_profile ~kb ~events:ctx.ev (arena ctx app ~input)
-        | `Closure ->
-            Profile.collect ~lengths:Workloads.lengths ~events:ctx.ev
-              ~make_source:(fun () -> source ctx app ~input)
-              ~make_predictor:(lbr_predictor kb) ()
-      in
+      let one input = lbr_profile ~kb ~events:ctx.ev (arena ctx app ~input) in
       match inputs with
       | [ input ] -> one input
       | inputs -> Profile.merge (List.map one inputs))
@@ -300,43 +287,15 @@ let profile ?(inputs = [ 0 ]) ?baseline_kb ctx app =
    should pass the user's [-j], and may thread their persistent [pool]
    through so consecutive analyses reuse the same worker domains. *)
 let whisper_analysis ?(config = Whisper_core.Config.default)
-    ?(train_inputs = [ 0 ]) ?(jobs = 1) ?pool ctx app =
-  let p = profile ~inputs:train_inputs ctx app in
+    ?(train_inputs = [ 0 ]) ?baseline_kb ?(jobs = 1) ?pool ctx app =
+  let p = profile ~inputs:train_inputs ?baseline_kb ctx app in
   Whisper_core.Analyze.run ~config ~jobs ?pool p
 
 let whisper_plan ?(config = Whisper_core.Config.default)
-    ?(train_inputs = [ 0 ]) ?(jobs = 1) ?pool ctx app =
-  let analysis = whisper_analysis ~config ~train_inputs ~jobs ?pool ctx app in
-  let cfg = cfg_of ctx app in
-  let train_input = List.hd train_inputs in
-  let plan_source =
-    match ctx.replay_mode with
-    | `Arena when ctx.ev >= Whisper_core.Inject.default_trace_events ->
-        Arena.source (arena ctx app ~input:train_input)
-    | `Arena | `Closure -> source ctx app ~input:train_input
+    ?(train_inputs = [ 0 ]) ?baseline_kb ?(jobs = 1) ?pool ctx app =
+  let analysis =
+    whisper_analysis ~config ~train_inputs ?baseline_kb ~jobs ?pool ctx app
   in
-  Whisper_core.Inject.plan config cfg ~source:plan_source
-    ~hints:(Whisper_core.Analyze.to_inject_hints analysis cfg)
-
-(* Offline training shared by both replay paths: each of these returns a
-   fresh technique runtime whose state is independent of how events will
-   be fed to it, so the closure and arena execs below stay byte-identical
-   by construction. *)
-let baseline_of ~kb = Tage_scl.predictor (Sizes.for_budget ~kb)
-
-let rombf_runtime ctx app ~train_inputs ~kb n =
-  let prof = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
-  let spec = Whisper_rombf.Rombf.train ~n prof in
-  Whisper_rombf.Rombf.Runtime.create spec ~baseline:(baseline_of ~kb)
-
-let branchnet_runtime ctx app ~train_inputs ~kb budget =
-  let prof = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
-  let spec = Whisper_branchnet.Branchnet.train ~budget prof in
-  Whisper_branchnet.Branchnet.Runtime.create spec ~baseline:(baseline_of ~kb)
-
-let whisper_runtime ctx app ~train_inputs ~kb config =
-  let prof = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
-  let analysis = Whisper_core.Analyze.run ~config prof in
   let cfg = cfg_of ctx app in
   let train_input = List.hd train_inputs in
   (* The injection plan's correlation pass consumes a fixed-length trace
@@ -345,52 +304,65 @@ let whisper_runtime ctx app ~train_inputs ~kb config =
      fresh closure source.  Both emit the same stream prefix, so the plan
      is identical either way. *)
   let plan_source =
-    match ctx.replay_mode with
-    | `Arena when ctx.ev >= Whisper_core.Inject.default_trace_events ->
-        Arena.source (arena ctx app ~input:train_input)
-    | `Arena | `Closure -> source ctx app ~input:train_input
+    if ctx.ev >= Whisper_core.Inject.default_trace_events then
+      Arena.source (arena ctx app ~input:train_input)
+    else source ctx app ~input:train_input
   in
-  let plan =
-    Whisper_core.Inject.plan config cfg ~source:plan_source
-      ~hints:(Whisper_core.Analyze.to_inject_hints analysis cfg)
+  Whisper_core.Inject.plan config cfg ~source:plan_source
+    ~hints:(Whisper_core.Analyze.to_inject_hints analysis cfg)
+
+(* Pass 1 of the staged trained kernels.  Every trained runtime resolves
+   a hinted branch without reading the baseline: it only [spectate]s it
+   (paper §IV, "Run-time hint usage").  So a recording baseline, whose
+   [predict] marks the event "baseline" and whose [spectate] marks it
+   "hinted", classifies every event without any baseline state. *)
+let hint_classes runtime ~arena ~n ~classes =
+  let hinted = ref false in
+  let recorder =
+    {
+      Predictor.name = "hint-classes";
+      predict =
+        (fun ~pc:_ ->
+          hinted := false;
+          false);
+      train = (fun ~pc:_ ~taken:_ -> ());
+      spectate = (fun ~pc:_ ~taken:_ -> hinted := true);
+      storage_bits = 0;
+    }
   in
-  Whisper_core.Runtime.create config ~baseline:(baseline_of ~kb) ~plan
+  let exec = runtime recorder arena in
+  for i = 0 to n - 1 do
+    let correct = exec i in
+    Bytes.unsafe_set classes i
+      (if not !hinted then '\000' else if correct then '\001' else '\002')
+  done
 
-(* Build the per-event exec closure for a technique (closure replay). *)
-let make_exec ctx app technique ~train_inputs ~kb =
-  match technique with
-  | Baseline ->
-      let p = baseline_of ~kb in
-      fun (e : Branch.event) ->
-        let pred = p.Predictor.predict ~pc:e.pc in
-        p.train ~pc:e.pc ~taken:e.taken;
-        pred = e.taken
-  | Ideal -> fun (_ : Branch.event) -> true
-  | Mtage_sc ->
-      let p = Mtage.predictor () in
-      fun (e : Branch.event) ->
-        let pred = p.Predictor.predict ~pc:e.pc in
-        p.train ~pc:e.pc ~taken:e.taken;
-        pred = e.taken
-  | Rombf n ->
-      let rt = rombf_runtime ctx app ~train_inputs ~kb n in
-      fun e -> Whisper_rombf.Rombf.Runtime.exec rt e
-  | Branchnet budget ->
-      let rt = branchnet_runtime ctx app ~train_inputs ~kb budget in
-      fun e -> Whisper_branchnet.Branchnet.Runtime.exec rt e
-  | Whisper config ->
-      let rt = whisper_runtime ctx app ~train_inputs ~kb config in
-      fun e -> Whisper_core.Runtime.exec rt e
+(* Pass 2: one fresh TAGE-SC-L over the class bytes, in place — trained
+   on baseline events, spectating hinted ones — leaves the verdicts the
+   runtime would have produced driving that baseline itself. *)
+let staged ~kb runtime =
+  let sizes = Sizes.for_budget ~kb in
+  Whisper_pipeline.Machine.Compiled
+    (fun ~arena ~n ~verdicts ->
+      hint_classes runtime ~arena ~n ~classes:verdicts;
+      let t = Tage_scl.create sizes in
+      for i = 0 to n - 1 do
+        let pc = Arena.pc arena i and taken = Arena.taken arena i in
+        match Bytes.unsafe_get verdicts i with
+        | '\000' ->
+            Bytes.unsafe_set verdicts i
+              (if Tage_scl.exec t ~pc ~taken then '\001' else '\000')
+        | c ->
+            Tage_scl.spectate t ~pc ~taken;
+            if c <> '\001' then Bytes.unsafe_set verdicts i '\000'
+      done)
 
-(* Same runtimes fed by event index over a packed arena: the predict
-   closures read unboxed fields straight out of the arena's buffers, so
-   the whole replay path allocates nothing per event.  The heavyweight
-   online baselines return staged compiled kernels
-   ({!Whisper_bpu.Predictor.Compiled}) and the ideal oracle returns
-   [Machine.Oracle], so the machine dispatches once per run instead of
-   calling through a closure record per event; the trained runtimes
-   (ROMBF / BranchNet / Whisper) keep their indexed exec closures. *)
-let make_exec_arena ctx app technique ~train_inputs ~kb ~arena:a =
+(* Every technique as one staged strategy: [Oracle] for the ideal
+   predictor, compiled kernels for the online baselines, and the shared
+   two-pass fill ([staged]) for the trained runtimes, whose offline
+   training happens here, once, before the machine dispatches. *)
+let make_exec_arena ctx app technique ~train_inputs ~kb =
+  let profile () = profile ~inputs:train_inputs ~baseline_kb:kb ctx app in
   match technique with
   | Baseline ->
       Whisper_pipeline.Machine.Compiled
@@ -400,21 +372,25 @@ let make_exec_arena ctx app technique ~train_inputs ~kb ~arena:a =
       Whisper_pipeline.Machine.Compiled
         (Mtage.compiled ()).Predictor.Compiled.fill
   | Rombf n ->
-      let rt = rombf_runtime ctx app ~train_inputs ~kb n in
-      Whisper_pipeline.Machine.Indexed
-        (fun i ->
-          Whisper_rombf.Rombf.Runtime.exec_at rt ~pc:(Arena.pc a i)
-            ~taken:(Arena.taken a i))
+      let module R = Whisper_rombf.Rombf in
+      let spec = R.train ~n (profile ()) in
+      staged ~kb (fun baseline a ->
+          let rt = R.Runtime.create spec ~baseline in
+          fun i ->
+            R.Runtime.exec_at rt ~pc:(Arena.pc a i) ~taken:(Arena.taken a i))
   | Branchnet budget ->
-      let rt = branchnet_runtime ctx app ~train_inputs ~kb budget in
-      Whisper_pipeline.Machine.Indexed
-        (fun i ->
-          Whisper_branchnet.Branchnet.Runtime.exec_at rt ~pc:(Arena.pc a i)
-            ~taken:(Arena.taken a i))
+      let module B = Whisper_branchnet.Branchnet in
+      let spec = B.train ~budget (profile ()) in
+      staged ~kb (fun baseline a ->
+          let rt = B.Runtime.create spec ~baseline in
+          fun i ->
+            B.Runtime.exec_at rt ~pc:(Arena.pc a i) ~taken:(Arena.taken a i))
   | Whisper config ->
-      let rt = whisper_runtime ctx app ~train_inputs ~kb config in
-      Whisper_pipeline.Machine.Indexed
-        (Whisper_core.Runtime.exec_arena rt ~arena:a)
+      let plan = whisper_plan ~config ~train_inputs ~baseline_kb:kb ctx app in
+      staged ~kb (fun baseline arena ->
+          Whisper_core.Runtime.exec_arena
+            (Whisper_core.Runtime.create config ~baseline ~plan)
+            ~arena)
 
 let run_key ctx app technique ~train_inputs ~test_input ~kb =
   Printf.sprintf "%s/%s/%s/%d/%d/%d" app.Workloads.name
@@ -482,20 +458,10 @@ let run ?(train_inputs = [ 0 ]) ?(test_input = 1) ?baseline_kb ctx app
                 (Printf.sprintf "sim/%s/%s" app.Workloads.name
                    (technique_name technique))
               @@ fun () ->
-              match ctx.replay_mode with
-              | `Arena ->
-                  let a = arena ctx app ~input:test_input in
-                  let exec =
-                    make_exec_arena ctx app technique ~train_inputs ~kb
-                      ~arena:a
-                  in
-                  Whisper_pipeline.Machine.run_arena_exec ~events:ctx.ev
-                    ~arena:a ~exec ()
-              | `Closure ->
-                  let exec = make_exec ctx app technique ~train_inputs ~kb in
-                  Whisper_pipeline.Machine.run ~events:ctx.ev
-                    ~source:(source ctx app ~input:test_input)
-                    ~predict:exec ()
+              let a = arena ctx app ~input:test_input in
+              let exec = make_exec_arena ctx app technique ~train_inputs ~kb in
+              Whisper_pipeline.Machine.run_arena_exec ~events:ctx.ev ~arena:a
+                ~exec ()
             in
             let dt = Unix.gettimeofday () -. t0 in
             Mutex.protect ctx.lock (fun () ->
@@ -553,27 +519,24 @@ let exec_work ctx = function
       ignore (profile ~inputs:w.inputs ?baseline_kb:w.baseline_kb ctx w.app)
   | Prepare w -> ignore (arena ctx w.app ~input:w.input)
 
+(* Whether a work item's result is already memoized or on disk: a
+   cached Sim needs no training (hence no profile) and no arena. *)
+let cached ctx work =
+  let key = work_key ctx work in
+  Hashtbl.mem ctx.results key
+  || Option.fold ~none:false
+       ~some:(fun c -> Sys.file_exists (Result_cache.path c ~key))
+       ctx.cache
+
 (* Profiles a Sim's training step will need, declared explicitly so the
    batch driver can collect each one exactly once before the simulations
    fan out (instead of racing domains re-collecting the same profile). *)
 let implied_collects ctx works =
   List.filter_map
     (function
-      | Sim w when technique_needs_profile w.technique ->
-          let kb = Option.value w.baseline_kb ~default:ctx.base_kb in
-          (* a cached result needs no training, hence no profile *)
-          let key =
-            run_key ctx w.app w.technique ~train_inputs:w.train_inputs
-              ~test_input:w.test_input ~kb
-          in
-          let cached =
-            Hashtbl.mem ctx.results key
-            || Option.fold ~none:false
-                 ~some:(fun c -> Sys.file_exists (Result_cache.path c ~key))
-                 ctx.cache
-          in
-          if cached then None
-          else Some (collect ~inputs:w.train_inputs ~baseline_kb:kb w.app)
+      | Sim w as work
+        when technique_needs_profile w.technique && not (cached ctx work) ->
+          Some (collect ~inputs:w.train_inputs ?baseline_kb:w.baseline_kb w.app)
       | Sim _ | Collect _ | Prepare _ -> None)
     works
 
@@ -581,44 +544,31 @@ let implied_collects ctx works =
    per distinct (app, input).  Quarantining a Prepare under chaos is
    harmless: the consumer simply rebuilds the arena inline. *)
 let implied_arenas ctx ~collects ~simulations =
-  if ctx.replay_mode <> `Arena then []
-  else
-    let seen = Hashtbl.create 16 in
-    let add acc app input =
-      let k = arena_key ctx app ~input in
-      if Hashtbl.mem seen k || Hashtbl.mem ctx.arenas k then acc
-      else begin
-        Hashtbl.add seen k ();
-        Prepare { app; input } :: acc
-      end
-    in
-    let acc =
-      List.fold_left
-        (fun acc -> function
-          | Collect w -> List.fold_left (fun acc i -> add acc w.app i) acc w.inputs
-          | Sim _ | Prepare _ -> acc)
-        [] collects
-    in
-    let acc =
-      List.fold_left
-        (fun acc -> function
-          | Sim w ->
-              let kb = Option.value w.baseline_kb ~default:ctx.base_kb in
-              let key =
-                run_key ctx w.app w.technique ~train_inputs:w.train_inputs
-                  ~test_input:w.test_input ~kb
-              in
-              let cached =
-                Hashtbl.mem ctx.results key
-                || Option.fold ~none:false
-                     ~some:(fun c -> Sys.file_exists (Result_cache.path c ~key))
-                     ctx.cache
-              in
-              if cached then acc else add acc w.app w.test_input
-          | Collect _ | Prepare _ -> acc)
-        acc simulations
-    in
-    List.rev acc
+  let seen = Hashtbl.create 16 in
+  let add acc app input =
+    let k = arena_key ctx app ~input in
+    if Hashtbl.mem seen k || Hashtbl.mem ctx.arenas k then acc
+    else begin
+      Hashtbl.add seen k ();
+      Prepare { app; input } :: acc
+    end
+  in
+  let acc =
+    List.fold_left
+      (fun acc -> function
+        | Collect w -> List.fold_left (fun acc i -> add acc w.app i) acc w.inputs
+        | Sim _ | Prepare _ -> acc)
+      [] collects
+  in
+  let acc =
+    List.fold_left
+      (fun acc -> function
+        | Sim w as work ->
+            if cached ctx work then acc else add acc w.app w.test_input
+        | Collect _ | Prepare _ -> acc)
+      acc simulations
+  in
+  List.rev acc
 
 let dedup ctx works =
   let seen = Hashtbl.create 64 in

@@ -32,19 +32,10 @@ type ctx
 (** Holds caches; create one per process/figure batch.  All operations
     on a [ctx] are safe to call from multiple pool workers. *)
 
-type replay = [ `Arena | `Closure ]
-(** How simulations feed the timing model: [`Arena] (the default)
-    materializes each (app, input) event stream once into a packed
-    {!Whisper_trace.Arena} shared by every technique and pool domain;
-    [`Closure] regenerates the stream through [App_model.source] per
-    simulation — kept as the differential oracle.  Results are
-    byte-identical between the two modes. *)
-
 val create_ctx :
   ?events:int ->
   ?baseline_kb:int ->
   ?jobs:int ->
-  ?replay:replay ->
   ?cache_dir:string ->
   ?faults:float ->
   ?fault_seed:int ->
@@ -54,7 +45,9 @@ val create_ctx :
   unit ->
   ctx
 (** Defaults: 1.2 M branch events per simulation, 64 KB baseline, one
-    worker domain, no persistent cache, [`Arena] replay.  [cache_dir]
+    worker domain, no persistent cache.  Every simulation replays the
+    (app, input) event stream from one packed {!Whisper_trace.Arena}
+    shared by every technique and pool domain.  [cache_dir]
     enables the on-disk result cache rooted at that directory (created
     if missing), plus the arena cache in its [arenas/] subdirectory so
     packed replay buffers survive CLI invocations too.
@@ -81,8 +74,6 @@ val jobs : ctx -> int
     parallel row computations). *)
 
 val set_jobs : ctx -> int -> unit
-val replay : ctx -> replay
-val set_replay : ctx -> replay -> unit
 val cache_dir : ctx -> string option
 
 type stats = {
@@ -109,8 +100,8 @@ val lbr_predictor : int -> unit -> pc:int -> taken:bool -> bool
     exposes.  Each application returns an independent predictor
     instance (collection replays the stream twice against fresh
     state).  Production collection goes through {!lbr_profile}; this
-    closure serves only the [`Closure] replay oracle, the
-    differential tests and the benchmark's traced serve replay. *)
+    closure is the reference it is tested against, and serves only the
+    tests' closure oracle and the benchmark's traced serve replay. *)
 
 val lbr_profile :
   ?max_samples:int ->
@@ -124,9 +115,8 @@ val lbr_profile :
     and both {!Whisper_trace.Profile.collect_arena} passes replay them.
     Byte-identical to {!Whisper_trace.Profile.collect} over the same
     stream with [make_predictor:(lbr_predictor kb)].  The one staged
-    collector: {!profile} ([`Arena] replay) and [Serve] chunk
-    collection both call it.  [max_samples] as in
-    {!Whisper_trace.Profile.collect}.
+    collector: {!profile} and [Serve] chunk collection both call it.
+    [max_samples] as in {!Whisper_trace.Profile.collect}.
     @raise Invalid_argument if [events] exceeds the arena's length. *)
 
 val arena :
@@ -135,16 +125,32 @@ val arena :
     event count, consulting (and populating) the persistent arena cache
     when one is enabled.  Immutable — share freely across domains. *)
 
-val make_exec :
-  ctx ->
-  Whisper_trace.Workloads.config ->
-  technique ->
-  train_inputs:int list ->
+val hint_classes :
+  (Whisper_bpu.Predictor.t -> Whisper_trace.Arena.t -> int -> bool) ->
+  arena:Whisper_trace.Arena.t ->
+  n:int ->
+  classes:Bytes.t ->
+  unit
+(** Pass 1 of the staged trained kernels.  [hint_classes runtime ~arena
+    ~n ~classes] builds one runtime with [runtime baseline arena] over a
+    recording [baseline], runs it on events [0..n-1] in order, and writes
+    one class byte per event: ['\000'] when the runtime consulted the
+    baseline ([predict]), ['\001'] when a hint predicted it right and
+    ['\002'] when a hint predicted it wrong ([spectate] alone).  Bytes
+    beyond [n] are left untouched.  Exact because no runtime reads the
+    baseline on a hinted event. *)
+
+val staged :
   kb:int ->
-  Whisper_trace.Branch.event ->
-  bool
-(** A fresh technique runtime (trained offline where needed) as a
-    per-event exec closure for {!Whisper_pipeline.Machine.run}. *)
+  (Whisper_bpu.Predictor.t -> Whisper_trace.Arena.t -> int -> bool) ->
+  Whisper_pipeline.Machine.arena_exec
+(** The shared two-pass [Compiled] fill of the trained techniques:
+    {!hint_classes} into the machine's verdict scratch, then one fresh
+    [kb]-budget TAGE-SC-L over the same bytes in place —
+    {!Whisper_bpu.Tage_scl.exec} on class 0, {!Whisper_bpu.Tage_scl.spectate}
+    otherwise, with verdict [class = 1].  Byte-identical to running the
+    runtime over a {!Whisper_bpu.Tage_scl.predictor} baseline event by
+    event.  [runtime] must build a fresh runtime per call. *)
 
 val make_exec_arena :
   ctx ->
@@ -152,15 +158,15 @@ val make_exec_arena :
   technique ->
   train_inputs:int list ->
   kb:int ->
-  arena:Whisper_trace.Arena.t ->
   Whisper_pipeline.Machine.arena_exec
-(** The same runtime as an arena execution strategy for
+(** A technique (trained offline where needed, from the memoized
+    [train_inputs] profile at [kb]) as an arena execution strategy for
     {!Whisper_pipeline.Machine.run_arena_exec}: [Oracle] for the ideal
-    predictor, staged {!Whisper_bpu.Predictor.Compiled} kernels for the
-    online baselines (TAGE-SC-L / MTAGE-SC), and indexed closures
-    reading unboxed fields straight from the packed buffers for the
-    trained runtimes.  Byte-identical results to {!make_exec} under
-    {!Whisper_pipeline.Machine.run} by the differential-oracle tests. *)
+    predictor, the staged {!Whisper_bpu.Predictor.Compiled} kernels for
+    the online baselines (TAGE-SC-L / MTAGE-SC), and {!staged} fills
+    for ROMBF, BranchNet and every Whisper variant.  The tests' closure
+    oracle (each runtime over a TAGE-SC-L closure baseline, fed by
+    {!Whisper_pipeline.Machine.run}) must give byte-identical results. *)
 
 val profile :
   ?inputs:int list ->
@@ -201,12 +207,14 @@ val run :
 val whisper_analysis :
   ?config:Whisper_core.Config.t ->
   ?train_inputs:int list ->
+  ?baseline_kb:int ->
   ?jobs:int ->
   ?pool:Whisper_util.Pool.t ->
   ctx ->
   Whisper_trace.Workloads.config ->
   Whisper_core.Analyze.t
-(** The offline analysis by itself (for Figs. 6, 7, 15, 16, 19).
+(** The offline analysis by itself (for Figs. 6, 7, 15, 16, 19), of the
+    [train_inputs] profile at [baseline_kb] (default: the ctx's).
     [jobs] (default 1) parallelizes the per-branch search over [pool]
     (default: the process-wide shared pool); plans are byte-identical
     for any value of either.  Keep the default [jobs] when already
@@ -215,12 +223,15 @@ val whisper_analysis :
 val whisper_plan :
   ?config:Whisper_core.Config.t ->
   ?train_inputs:int list ->
+  ?baseline_kb:int ->
   ?jobs:int ->
   ?pool:Whisper_util.Pool.t ->
   ctx ->
   Whisper_trace.Workloads.config ->
   Whisper_core.Inject.t
-(** Analysis + hint injection plan (for Fig. 19 overheads). *)
+(** {!whisper_analysis} plus its hint injection plan — what the [Whisper]
+    technique deploys, and Fig. 19's overheads.  [jobs] and [pool] as in
+    {!whisper_analysis}. *)
 
 (** {2 Declarative work items}
 

@@ -270,7 +270,6 @@ let worker_main () =
     Runner.create_ctx ~events:init.Ipc.events ~baseline_kb:init.Ipc.baseline_kb
       ?cache_dir:
         (if init.Ipc.cache_dir = "" then None else Some init.Ipc.cache_dir)
-      ~replay:(if init.Ipc.replay = "closure" then `Closure else `Arena)
       ()
   in
   let fault = make_fault init.Ipc.faults init.Ipc.fault_seed in
@@ -506,7 +505,6 @@ let supervise env ~pending stats =
       Ipc.events = cfg.events;
       baseline_kb = cfg.kb;
       cache_dir = Option.value (Runner.cache_dir env.ctx) ~default:"";
-      replay = "arena";
       faults = cfg.faults;
       fault_seed = cfg.fault_seed;
       heartbeat_s = cfg.heartbeat_s;
@@ -783,7 +781,12 @@ let ignore_sigpipe () =
     try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
     with Invalid_argument _ | Sys_error _ -> ()
 
+(* The whole sweep runs under one span, like [serve.run]: a process-mode
+   supervisor does no machine work itself (its workers do, in their own
+   processes), and a fully resumed run does none at all, yet either must
+   still export a nonzero spans section. *)
 let run cfg =
+  Tm.span "sweep.run" @@ fun () ->
   ignore_sigpipe ();
   let cache_dir = Filename.concat cfg.state_dir "cache" in
   let ctx =

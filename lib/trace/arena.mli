@@ -23,7 +23,7 @@ val build : events:int -> App_model.t -> t
 
 val length : t -> int
 
-(** {2 Indexed replay (hot path — bounds are NOT checked)} *)
+(** {2 Replay by event index (hot path — bounds are NOT checked)} *)
 
 val block : t -> int -> int
 val pc : t -> int -> int

@@ -1,4 +1,4 @@
-let protocol_version = 1
+let protocol_version = 2
 let max_frame = 1 lsl 24
 
 (* ------------------------------------------------------------------ *)
@@ -84,7 +84,6 @@ type init = {
   events : int;
   baseline_kb : int;
   cache_dir : string;
-  replay : string;
   faults : float;
   fault_seed : int;
   heartbeat_s : float;
@@ -119,7 +118,6 @@ let encode_to_worker m =
       Binio.Writer.varint w i.events;
       Binio.Writer.varint w i.baseline_kb;
       Binio.Writer.string w i.cache_dir;
-      Binio.Writer.string w i.replay;
       Binio.Writer.float64 w i.faults;
       Binio.Writer.varint w i.fault_seed;
       Binio.Writer.float64 w i.heartbeat_s;
@@ -148,7 +146,6 @@ let decode_to_worker b =
           let events = Binio.Reader.varint r in
           let baseline_kb = Binio.Reader.varint r in
           let cache_dir = Binio.Reader.string r in
-          let replay = Binio.Reader.string r in
           let faults = Binio.Reader.float64 r in
           let fault_seed = Binio.Reader.varint r in
           let heartbeat_s = Binio.Reader.float64 r in
@@ -158,7 +155,6 @@ let decode_to_worker b =
               events;
               baseline_kb;
               cache_dir;
-              replay;
               faults;
               fault_seed;
               heartbeat_s;

@@ -44,7 +44,6 @@ type init = {
   events : int;
   baseline_kb : int;
   cache_dir : string;  (** [""] = no persistent cache *)
-  replay : string;  (** ["arena"] or ["closure"] *)
   faults : float;
   fault_seed : int;
   heartbeat_s : float;

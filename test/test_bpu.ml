@@ -15,7 +15,7 @@ let accuracy (p : Predictor.t) gen n =
     let pred = p.Predictor.predict ~pc in
     if i > n / 2 then begin
       incr measured;
-      if pred = taken || p.is_oracle then incr correct
+      if pred = taken then incr correct
     end;
     p.train ~pc ~taken
   done;
@@ -273,7 +273,7 @@ let test_sizes_total_vs_budget () =
     [ 8; 16; 32; 64; 128; 256; 512; 1024 ]
 
 (* ------------------------------------------------------------------ *)
-(* MTAGE / ideal                                                      *)
+(* MTAGE / static                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_mtage_memorizes () =
@@ -284,16 +284,9 @@ let test_mtage_memorizes () =
   let acc = accuracy p (fun i -> (0x4000, pat.(i mod 200))) 30_000 in
   check_bool "memorizes long pattern" true (acc > 0.97)
 
-let test_ideal () =
-  let p = Predictor.ideal () in
-  check_bool "oracle flag" true p.Predictor.is_oracle;
-  let acc = accuracy p (fun i -> (0x4000, i mod 3 = 0)) 100 in
-  check_bool "always counted correct" true (acc = 1.0)
-
 let test_always_taken_predictor () =
   let p = Predictor.always_taken () in
-  check_bool "predicts taken" true (p.Predictor.predict ~pc:0x4000);
-  check_bool "not oracle" false p.Predictor.is_oracle
+  check_bool "predicts taken" true (p.Predictor.predict ~pc:0x4000)
 
 (* ------------------------------------------------------------------ *)
 
@@ -347,7 +340,6 @@ let () =
         Alcotest.
           [
             test_case "mtage memorizes" `Quick test_mtage_memorizes;
-            test_case "ideal" `Quick test_ideal;
             test_case "always taken" `Quick test_always_taken_predictor;
           ] );
     ]

@@ -705,9 +705,10 @@ let test_flat_cache_equals_reference () =
 (* The staged [Machine.Compiled] / [Machine.Oracle] strategies must give
    byte-identical [Machine.result]s to the per-event closure path for
    arbitrary workload shapes, not just the catalog apps.  The oracle is
-   the untouched closure record ([Predictor.t]) driven through the
-   legacy Indexed strategy — the same differential pattern the catalog
-   test pins, here over randomized app configs and arena lengths. *)
+   the untouched closure record ([Predictor.t]) driven by the reference
+   [Machine.run] over the same arena's event stream — the same
+   differential pattern the catalog test pins, here over randomized app
+   configs and arena lengths. *)
 let test_compiled_kernels_equal_closure_oracle () =
   let open Whisper_bpu in
   let module Machine = Whisper_pipeline.Machine in
@@ -739,11 +740,13 @@ let test_compiled_kernels_equal_closure_oracle () =
     let input = Rng.int rng 3 in
     let events = 500 + Rng.int rng 2_500 in
     let arena = Arena.build ~events (App_model.create ~cfg ~config ~input ()) in
-    let indexed (p : Predictor.t) i =
-      let pc = Arena.pc arena i and taken = Arena.taken arena i in
-      let pred = p.Predictor.predict ~pc in
-      p.Predictor.train ~pc ~taken;
-      pred = taken
+    let reference predict =
+      Machine.run ~events ~source:(Arena.source arena) ~predict ()
+    in
+    let closure (p : Predictor.t) (e : Branch.event) =
+      let pred = p.Predictor.predict ~pc:e.pc in
+      p.Predictor.train ~pc:e.pc ~taken:e.taken;
+      pred = e.taken
     in
     let diff name rc ro =
       if rc <> ro then
@@ -757,11 +760,7 @@ let test_compiled_kernels_equal_closure_oracle () =
             ~exec:(Machine.Compiled compiled.Predictor.Compiled.fill)
             ()
         in
-        let ro =
-          Machine.run_arena_exec ~events ~arena
-            ~exec:(Machine.Indexed (indexed oracle))
-            ()
-        in
+        let ro = reference (closure oracle) in
         diff name rc ro)
       [
         ("tage", Tage.compiled small_tage, Tage.predictor small_tage);
@@ -773,9 +772,48 @@ let test_compiled_kernels_equal_closure_oracle () =
     (* the ideal technique: Oracle strategy == an always-correct closure *)
     diff "ideal"
       (Machine.run_arena_exec ~events ~arena ~exec:Machine.Oracle ())
-      (Machine.run_arena_exec ~events ~arena
-         ~exec:(Machine.Indexed (fun _ -> true))
-         ())
+      (reference (fun _ -> true))
+  done
+
+(* The staged two-pass fills of the trained techniques (hint classes,
+   then one TAGE-SC-L pass over them) against the closure oracle —
+   closure profile, the runtime over a closure TAGE-SC-L baseline,
+   [Machine.run] — end to end through [Runner.run], over randomized app
+   configs, event counts and baseline budgets. *)
+let test_staged_fills_equal_closure_oracle () =
+  let rng = Rng.create (seed lxor 0x57A6) in
+  let config_cases = max 3 (cases / 400) in
+  let wh = Whisper_core.Config.default in
+  for case = 1 to config_cases do
+    let app =
+      {
+        (Option.get (Workloads.by_name "cassandra")) with
+        Workloads.name = Printf.sprintf "fuzz-staged-%d" case;
+        functions = 2 + Rng.int rng 8;
+        seed = Rng.int rng 10_000;
+      }
+    in
+    let events = 5_000 + Rng.int rng 15_000 in
+    let baseline_kb = [| 8; 32; 64 |].(Rng.int rng 3) in
+    let ctx = Whisper_sim.Runner.create_ctx ~events ~baseline_kb () in
+    List.iter
+      (fun (name, t) ->
+        if
+          Whisper_sim.Runner.run ctx app t <> Whisper_oracle.run ctx app t
+        then
+          Alcotest.failf "case %d: staged %s diverges (seed %d)" case name seed)
+      [
+        ("rombf", Whisper_sim.Runner.Rombf [| 4; 8 |].(Rng.int rng 2));
+        ( "branchnet",
+          Whisper_sim.Runner.Branchnet (Whisper_branchnet.Branchnet.Budget 8192) );
+        ( "whisper",
+          Whisper_sim.Runner.Whisper
+            {
+              wh with
+              hint_buffer_size = [| 4; 32; 64 |].(Rng.int rng 3);
+              ops = (if Rng.int rng 2 = 0 then `Classic else `Extended);
+            } );
+      ]
   done
 
 (* ------------------------------------------------------------------ *)
@@ -876,6 +914,8 @@ let () =
               test_flat_cache_equals_reference;
             test_case "compiled kernels equal closure oracle" `Quick
               test_compiled_kernels_equal_closure_oracle;
+            test_case "staged fills equal closure oracle" `Quick
+              test_staged_fills_equal_closure_oracle;
             test_case "corrupt cached arena regenerates" `Quick
               test_arena_cache_chaos_drop_and_regenerate;
             test_case "journal recovery keeps only the original prefix" `Quick

@@ -190,41 +190,53 @@ let test_machine_segment_edges () =
 
 (* the closure and arena paths share one accounting core; prove the
    results are structurally identical, including per-segment arrays, at
-   an event count that exercises the uneven-partition case *)
+   an event count that exercises the uneven-partition case, for every
+   arena strategy: a patterned verdict fill, [Oracle], and the compiled
+   TAGE-SC-L kernel against its closure predictor *)
 let test_machine_arena_equals_closure () =
   let app = tiny_app () in
   let cfg = Workloads.build_cfg app in
   List.iter
     (fun events ->
-      let closure =
+      let closure predict =
         let src =
           App_model.source (App_model.create ~cfg ~config:app ~input:0 ())
         in
-        let p = Whisper_bpu.Tage_scl.predictor Whisper_bpu.Sizes.standard in
+        let i = ref (-1) in
         Machine.run ~events ~source:src
           ~predict:(fun e ->
-            let pred = p.Whisper_bpu.Predictor.predict ~pc:e.Branch.pc in
-            p.train ~pc:e.Branch.pc ~taken:e.Branch.taken;
-            pred = e.Branch.taken)
+            incr i;
+            predict !i e)
           ()
       in
       let arena =
         Arena.build ~events (App_model.create ~cfg ~config:app ~input:0 ())
       in
-      let packed =
-        let p = Whisper_bpu.Tage_scl.predictor Whisper_bpu.Sizes.standard in
-        Machine.run_arena ~events ~arena
-          ~predict:(fun i ->
-            let pc = Arena.pc arena i in
-            let taken = Arena.taken arena i in
-            let pred = p.Whisper_bpu.Predictor.predict ~pc in
-            p.train ~pc ~taken;
-            pred = taken)
-          ()
+      let packed exec = Machine.run_arena_exec ~events ~arena ~exec () in
+      let check name c p =
+        check_bool
+          (Printf.sprintf "%s: closure == arena at %d events" name events)
+          true (c = p)
       in
-      check_bool
-        (Printf.sprintf "closure == arena at %d events" events)
-        true (closure = packed))
+      check "patterned"
+        (closure (fun i _ -> i mod 5 <> 0))
+        (packed
+           (Machine.Compiled
+              (fun ~arena:_ ~n ~verdicts ->
+                for i = 0 to n - 1 do
+                  Bytes.set verdicts i (if i mod 5 <> 0 then '\001' else '\000')
+                done)));
+      check "oracle" (closure (fun _ _ -> true)) (packed Machine.Oracle);
+      let p = Whisper_bpu.Tage_scl.predictor Whisper_bpu.Sizes.standard in
+      check "tage-scl"
+        (closure (fun _ e ->
+             let pred = p.Whisper_bpu.Predictor.predict ~pc:e.Branch.pc in
+             p.train ~pc:e.Branch.pc ~taken:e.Branch.taken;
+             pred = e.Branch.taken))
+        (packed
+           (Machine.Compiled
+              (Whisper_bpu.Tage_scl.compiled Whisper_bpu.Sizes.standard)
+                .Whisper_bpu.Predictor.Compiled.fill)))
     [ 0; 7; 10_000; 10_003 ]
 
 let test_params_table2 () =

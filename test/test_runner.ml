@@ -414,36 +414,135 @@ let test_report_timing_line () =
 (* Arena replay: closure equivalence, persistent arena cache          *)
 (* ------------------------------------------------------------------ *)
 
+(* the replay bench's technique set: the paper's nine rows, whisper as
+   three labelled variants (Runner.technique_name renders every config
+   as "whisper") *)
 let arena_techniques =
+  let wh = Whisper_core.Config.default in
   [
-    Runner.Baseline;
-    Runner.Ideal;
-    Runner.Mtage_sc;
-    Runner.Rombf 4;
-    Runner.Branchnet (Whisper_branchnet.Branchnet.Budget 8192);
-    Runner.Whisper Whisper_core.Config.default;
+    ("tage-scl", Runner.Baseline);
+    ("ideal", Runner.Ideal);
+    ("mtage-sc", Runner.Mtage_sc);
+    ("4b-rombf", Runner.Rombf 4);
+    ("8b-rombf", Runner.Rombf 8);
+    ("8KB-branchnet", Runner.Branchnet (Whisper_branchnet.Branchnet.Budget 8192));
+    ("whisper", Runner.Whisper wh);
+    ("whisper-hb64", Runner.Whisper { wh with hint_buffer_size = 64 });
+    ("whisper-classic", Runner.Whisper { wh with ops = `Classic });
   ]
 
 let test_arena_matches_closure_all_techniques () =
-  (* the packed-arena replay (default) must be byte-identical to the
-     closure-source oracle for every technique *)
-  let closure =
-    Runner.create_ctx ~events:det_events ~jobs:1 ~replay:`Closure ()
-  in
-  let arena = Runner.create_ctx ~events:det_events ~jobs:1 ~replay:`Arena () in
-  check_bool "modes stick" true
-    (Runner.replay closure = `Closure && Runner.replay arena = `Arena);
+  (* the staged arena path must be byte-identical to the closure oracle
+     (closure profile, closure-baseline runtimes, Machine.run) for every
+     technique, and so must the profile training reads *)
+  let ctx = Runner.create_ctx ~events:det_events ~jobs:1 () in
   let a = app "cassandra" in
+  let image p = Bytes.to_string (Whisper_trace.Profile_io.to_bytes p) in
   List.iter
-    (fun t ->
-      let rc = Runner.run closure a t in
-      let ra = Runner.run arena a t in
-      check_bool (Runner.technique_name t ^ " byte-identical") true (rc = ra))
-    arena_techniques;
-  check_bool "arena mode built arenas" true
-    ((Runner.stats arena).Runner.arena_builds > 0);
-  check_int "closure mode built none" 0
-    (Runner.stats closure).Runner.arena_builds
+    (fun inputs ->
+      check_string "staged profile == closure profile"
+        (image (Whisper_oracle.profile ~inputs ctx a))
+        (image (Runner.profile ~inputs ctx a)))
+    [ [ 0 ]; [ 0; 2 ] ];
+  let oracle = Whisper_oracle.run_batch ~jobs:1 ctx a (List.map snd arena_techniques) in
+  List.iter2
+    (fun (label, t) ro ->
+      check_bool (label ^ " byte-identical") true (Runner.run ctx a t = ro))
+    arena_techniques oracle;
+  check_bool "arenas built" true ((Runner.stats ctx).Runner.arena_builds > 0)
+
+(* Pass 1 of the staged kernels, on a hand-built ROMBF spec: an Always
+   hint on one branch, a Never hint on another, nothing elsewhere.  The
+   class bytes must say baseline / hinted-right / hinted-wrong exactly
+   where the hints and the outcomes do, and touch no byte at or beyond
+   [n]. *)
+let test_hint_classes_contract () =
+  let module A = Whisper_trace.Arena in
+  let module R = Whisper_rombf.Rombf in
+  let a = app "cassandra" in
+  let events = 5_000 in
+  let arena =
+    A.build ~events
+      (Whisper_trace.App_model.create
+         ~cfg:(Whisper_trace.Workloads.build_cfg a)
+         ~config:a ~input:1 ())
+  in
+  let n = 3_001 in
+  (* the Always hint goes to a branch seen both ways before [n], so it is
+     right on some events and wrong on others *)
+  let always =
+    let seen = Hashtbl.create 64 in
+    let rec find i =
+      let pc = A.pc arena i and taken = A.taken arena i in
+      match Hashtbl.find_opt seen pc with
+      | Some t when t <> taken -> pc
+      | _ ->
+          Hashtbl.replace seen pc taken;
+          find (i + 1)
+    in
+    find 0
+  in
+  let never =
+    let i = ref 0 in
+    while A.pc arena !i = always do
+      incr i
+    done;
+    A.pc arena !i
+  in
+  let hints = Hashtbl.create 2 in
+  Hashtbl.replace hints always R.Always;
+  Hashtbl.replace hints never R.Never;
+  let spec = { R.n = 8; hints; training_seconds = 0.0 } in
+  let runtime baseline a =
+    let rt = R.Runtime.create spec ~baseline in
+    fun i -> R.Runtime.exec_at rt ~pc:(A.pc a i) ~taken:(A.taken a i)
+  in
+  let expected i =
+    let pc = A.pc arena i and taken = A.taken arena i in
+    if pc = always then if taken then '\001' else '\002'
+    else if pc = never then if taken then '\002' else '\001'
+    else '\000'
+  in
+  let classes n =
+    let b = Bytes.make events 'x' in
+    Runner.hint_classes runtime ~arena ~n ~classes:b;
+    b
+  in
+  check_string "n = 0 writes nothing" (String.make events 'x')
+    (Bytes.to_string (classes 0));
+  let b = classes n in
+  check_string "bytes beyond n untouched"
+    (String.make (events - n) 'x')
+    (Bytes.sub_string b n (events - n));
+  check_string "one class per event" (String.init n expected)
+    (Bytes.sub_string b 0 n);
+  List.iter
+    (fun c ->
+      check_bool
+        (Printf.sprintf "class %d occurs" (Char.code c))
+        true
+        (Bytes.contains (Bytes.sub b 0 n) c))
+    [ '\000'; '\001'; '\002' ];
+  (* pass 2 over those bytes reproduces the runtime driving a closure
+     TAGE-SC-L baseline itself, on a prefix of the arena *)
+  let kb = 64 in
+  let closure =
+    let rt =
+      R.Runtime.create spec
+        ~baseline:(Whisper_bpu.Tage_scl.predictor (Whisper_bpu.Sizes.for_budget ~kb))
+    in
+    String.init n (fun i ->
+        if R.Runtime.exec_at rt ~pc:(A.pc arena i) ~taken:(A.taken arena i)
+        then '\001'
+        else '\000')
+  in
+  match Runner.staged ~kb runtime with
+  | Whisper_pipeline.Machine.Compiled fill ->
+      let v = Bytes.make events 'x' in
+      fill ~arena ~n ~verdicts:v;
+      check_string "staged verdicts == closure runtime" closure
+        (Bytes.sub_string v 0 n)
+  | Whisper_pipeline.Machine.Oracle -> Alcotest.fail "staged is not Compiled"
 
 let test_arena_cache_warm_and_corrupt () =
   let dir = Test_dirs.fresh "arena" in
@@ -628,6 +727,7 @@ let () =
           [
             test_case "matches closure for every technique" `Quick
               test_arena_matches_closure_all_techniques;
+            test_case "hint class bytes" `Quick test_hint_classes_contract;
             test_case "persistent cache: warm + corrupt recovery" `Quick
               test_arena_cache_warm_and_corrupt;
           ] );

@@ -140,7 +140,6 @@ let sample_init =
     Ipc.events = 2000;
     baseline_kb = 64;
     cache_dir = "/tmp/cache";
-    replay = "arena";
     faults = 0.25;
     fault_seed = 7;
     heartbeat_s = 0.25;
