@@ -1016,9 +1016,11 @@ let replay_bench () =
 (* Part 1d: continuous-profiling service benchmark (BENCH_serve.json) *)
 (* ------------------------------------------------------------------ *)
 
-(* Measures the serve-mode hot path: chunk-ingest throughput into the
-   order-independent accumulator, the window re-scoring latency that
-   runs every generation, and — before emitting any number — replays the
+(* Measures chunk-merge throughput of the order-independent
+   Profile_chunk accumulator (a library figure: Serve itself dedups by
+   chunk id and merges only its window, so it no longer calls the
+   accumulator), the window re-scoring latency that runs every
+   generation, and — before emitting any number — replays the
    scripted drifting scenario interrupted-and-resumed against an
    uninterrupted reference and asserts the generation ledgers are
    byte-identical.
@@ -1084,7 +1086,7 @@ let serve_bench () =
      kill/resume ledger identical\n\
      %!"
     clean.Serve.total clean_s clean.Serve.rollouts clean.Serve.drift_detected;
-  (* --- ingest throughput: the per-delivery accumulator merge *)
+  (* --- accumulator merge throughput (Profile_chunk, not Serve's path) *)
   let wcfg = Option.get (Workloads.by_name app_name) in
   let cfg_static = Workloads.build_cfg wcfg in
   (* collected the way Serve collects: a per-chunk arena through the

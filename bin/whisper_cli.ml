@@ -55,15 +55,16 @@ let events_arg default =
         ~env:(Cmd.Env.info "WHISPER_EVENTS")
         ~doc:"Branch events to simulate")
 
-let jobs_arg =
+let jobs_arg_doc doc =
   Arg.(
     value
     & opt int (Whisper_util.Pool.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~env:(Cmd.Env.info "WHISPER_JOBS")
-        ~doc:
-          "Worker domains for independent simulations (default: the \
-           recommended domain count)")
+    & info [ "jobs"; "j" ] ~docv:"N" ~env:(Cmd.Env.info "WHISPER_JOBS") ~doc)
+
+let jobs_arg =
+  jobs_arg_doc
+    "Worker domains for independent simulations (default: the recommended \
+     domain count)"
 
 let no_cache_arg =
   Arg.(
@@ -720,7 +721,14 @@ let serve_cmd =
     Arg.(
       value & opt int 512
       & info [ "max-samples" ] ~docv:"N"
-          ~doc:"Per-branch sample cap of the profile accumulator")
+          ~doc:"Per-branch sample cap of collected chunks and window merges")
+  in
+  let jobs_arg =
+    jobs_arg_doc
+      "Worker domains for the re-analysis fan-out and the chunk-collection \
+       lookahead: up to $(docv) chunks are collected ahead of the step that \
+       ingests them (default: the recommended domain count; 1 collects \
+       inline)"
   in
   let drift_flip_arg =
     Arg.(

@@ -219,16 +219,29 @@ type deployed = {
   d_hints : int;
 }
 
+(* Serve reads a chunk's profile only while the chunk is in the window,
+   so [profiles] caches exactly the window's chunks (evicted with them)
+   and dedup needs nothing but the ids ever accepted. *)
 type app_state = {
   name : string;
   wcfg : Workloads.config;
   cfg_static : Cfg.t;
-  accum : Profile_chunk.accum;
-  profiles : (string, Profile.t) Hashtbl.t;  (* chunk id -> profile *)
+  seen : (string, unit) Hashtbl.t;  (* accepted chunk ids *)
+  profiles : (string, Profile.t) Hashtbl.t;  (* window chunk id -> profile *)
   mutable win : (int * string) list;  (* newest first *)
   mutable dep : deployed option;
   mutable ref_cov : float;  (* deployed coverage at rollout time *)
   mutable applying : bool;  (* journal prefix still consistent *)
+}
+
+(* Chunks collected ahead of the step that ingests them, on the shared
+   pool: the futures of the next manifest steps with no journal record,
+   oldest first.  Only the delivered bytes come back; every effect stays
+   on the calling domain, in manifest order. *)
+type prefetch = {
+  pool : Pool.t;
+  mutable todo : (int * string) list;  (* (gen, app) steps not yet submitted *)
+  inflight : (string * bytes Pool.future) Queue.t;  (* step key, chunk *)
 }
 
 type env = {
@@ -239,6 +252,7 @@ type env = {
   journal : Journal.t;
   states : (string, app_state) Hashtbl.t;
   steps : (string, step) Hashtbl.t;  (* step key -> final record *)
+  prefetch : prefetch option;  (* [None] at [jobs = 1] *)
   mutable n_completed : int;
   mutable n_resumed : int;
   mutable interrupted : bool;
@@ -251,8 +265,10 @@ let phase_of cfg ~gen =
    staged compiled-kernel profiler and regenerated deterministically from
    (config, app, gen) — including the delivery-time corruption, which is
    pure in (fault_seed, step key).  This is what makes lost chunk files
-   recoverable on resume. *)
+   recoverable on resume, and what lets it run on any domain: it reads
+   only immutable state. *)
 let collect_chunk env st ~gen =
+  Tm.span "serve.collect" @@ fun () ->
   let phase = phase_of env.cfg ~gen in
   let events = env.cfg.chunk_events in
   let profile =
@@ -265,6 +281,47 @@ let collect_chunk env st ~gen =
   match env.fault with
   | None -> clean
   | Some f -> Fault.corrupt f ~key:(step_key ~gen ~app:st.name) clean
+
+(* Keep [jobs] chunks in flight — this step's and the next ones' — then
+   take this step's bytes, or collect inline when it was not prefetched
+   (jobs = 1, or a journaled step that failed to apply). *)
+let delivered_chunk env st ~gen =
+  let key = step_key ~gen ~app:st.name in
+  match env.prefetch with
+  | None -> collect_chunk env st ~gen
+  | Some pf -> (
+      let rec fill () =
+        match pf.todo with
+        | (g, app) :: rest when Queue.length pf.inflight < env.cfg.jobs ->
+            let s = Hashtbl.find env.states app in
+            Queue.push
+              ( step_key ~gen:g ~app,
+                Pool.submit pf.pool (fun () -> collect_chunk env s ~gen:g) )
+              pf.inflight;
+            pf.todo <- rest;
+            fill ()
+        | _ -> ()
+      in
+      fill ();
+      match Queue.peek_opt pf.inflight with
+      | Some (k, fut) when k = key -> (
+          ignore (Queue.pop pf.inflight);
+          match Pool.await fut with Ok b -> b | Error e -> raise e)
+      | _ -> collect_chunk env st ~gen)
+
+(* Interruption or an exception: wait out every collection still running
+   and drop its bytes — nothing is stored for a step that did not run. *)
+let drain_prefetch env =
+  Option.iter
+    (fun pf ->
+      Queue.iter (fun (_, fut) -> ignore (Pool.await fut)) pf.inflight;
+      Queue.clear pf.inflight)
+    env.prefetch
+
+(* What [Profile_chunk.ingest_profile] would reject. *)
+let check_lengths p =
+  if Profile.lengths p <> Workloads.lengths then
+    invalid_arg "Serve: chunk length series mismatch"
 
 (* The profile of an accepted chunk, from the in-memory cache, the chunk
    store, or deterministic regeneration. *)
@@ -291,6 +348,7 @@ let chunk_profile env st ~gen ~id =
       | None -> from_bytes (collect_chunk env st ~gen))
 
 let window_profile env st =
+  Tm.span "serve.window" @@ fun () ->
   let ps =
     List.filter_map
       (fun (gen, id) -> chunk_profile env st ~gen ~id)
@@ -302,14 +360,15 @@ let window_profile env st =
       (Profile_chunk.merge_profiles ~max_samples:env.cfg.max_samples
          ~lengths:Workloads.lengths ps)
 
+(* Chunk ids are unique within a window (a seen id is never pushed), so
+   the entry that falls off the end leaves the cache with it. *)
 let push_window env st ~gen ~id =
-  st.win <- (gen, id) :: st.win;
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  st.win <- take env.cfg.window st.win
+  let win = (gen, id) :: st.win in
+  st.win <- List.filteri (fun i _ -> i < env.cfg.window) win;
+  List.iteri
+    (fun i (_, old) ->
+      if i >= env.cfg.window then Hashtbl.remove st.profiles old)
+    win
 
 let short_error (e : Whisper_error.t) =
   match e.Whisper_error.kind with
@@ -339,52 +398,49 @@ let decide_rollout ~incumbent ~candidate =
   | None -> `Rollout
   | Some c -> if candidate >= c then `Rollout else `Rollback
 
+let rescore env ~profile plan =
+  Tm.span "serve.rescore" @@ fun () ->
+  (Rescore.score ~config:env.analysis_config ~rnd:env.rnd ~profile plan)
+    .Rescore.coverage
+
 let execute_step env st ~gen =
   let key = step_key ~gen ~app:st.name in
-  let delivered = collect_chunk env st ~gen in
+  let delivered = delivered_chunk env st ~gen in
   let cid = Profile_chunk.id delivered in
   let status, redup =
+    Tm.span "serve.ingest" @@ fun () ->
     match Profile_chunk.decode delivered with
     | Error e ->
         Tm.incr m_quarantined;
         ("quarantined:" ^ short_error e, 0)
-    | Ok c -> (
-        match
-          Profile_chunk.ingest_profile st.accum ~id:cid c.Profile_chunk.profile
-        with
-        | Profile_chunk.Duplicate _ ->
+    | Ok c ->
+        check_lengths c.Profile_chunk.profile;
+        if Hashtbl.mem st.seen cid then begin
+          Tm.incr m_duplicates;
+          ("ok", 1)
+        end
+        else begin
+          Tm.incr m_ingested;
+          Hashtbl.add st.seen cid ();
+          Durable.write_atomic
+            (chunk_path env.cfg ~app:st.name ~id:cid)
+            delivered;
+          Hashtbl.replace st.profiles cid c.Profile_chunk.profile;
+          push_window env st ~gen ~id:cid;
+          (* the re-delivery probe: the id is now known, so a no-op *)
+          if env.cfg.redeliver then begin
             Tm.incr m_duplicates;
             ("ok", 1)
-        | Profile_chunk.Added _ ->
-            Tm.incr m_ingested;
-            Durable.write_atomic
-              (chunk_path env.cfg ~app:st.name ~id:cid)
-              delivered;
-            Hashtbl.replace st.profiles cid c.Profile_chunk.profile;
-            push_window env st ~gen ~id:cid;
-            let redup =
-              if env.cfg.redeliver then (
-                match
-                  Profile_chunk.ingest_profile st.accum ~id:cid
-                    c.Profile_chunk.profile
-                with
-                | Profile_chunk.Duplicate _ ->
-                    Tm.incr m_duplicates;
-                    1
-                | Profile_chunk.Added _ -> 0 (* unreachable: same id *))
-              else 0
-            in
-            ("ok", redup))
+          end
+          else ("ok", 0)
+        end
   in
   let wprof = window_profile env st in
   let cov =
     match (st.dep, wprof) with
     | Some d, Some wp ->
         Tm.incr m_rescores;
-        Some
-          (Rescore.score ~config:env.analysis_config ~rnd:env.rnd ~profile:wp
-             d.d_plan)
-            .Rescore.coverage
+        Some (rescore env ~profile:wp d.d_plan)
     | _ -> None
   in
   let drift =
@@ -414,11 +470,7 @@ let execute_step env st ~gen =
       | Ok a ->
           Tm.incr m_analyses;
           let cand = a.Analyze.decisions in
-          let new_cov =
-            (Rescore.score ~config:env.analysis_config ~rnd:env.rnd ~profile:wp
-               cand)
-              .Rescore.coverage
-          in
+          let new_cov = rescore env ~profile:wp cand in
           let incumbent = if st.dep = None then None else cov in
           match decide_rollout ~incumbent ~candidate:new_cov with
           | `Rollout ->
@@ -476,22 +528,22 @@ let execute_step env st ~gen =
 (* Apply one journaled step without re-executing it.  Returns [false]
    (breaking the app's applied prefix, so the step and everything after
    it re-run) when the recorded state cannot be reconstructed — an
-   unparseable line, or a rolled-out plan whose stored file no longer
-   matches the recorded digest. *)
+   unparseable line, an unrecoverable chunk, or a rolled-out plan whose
+   stored file no longer matches the recorded digest.  The chunk joins
+   the dedup set and the window only once the whole step checks out, so
+   a step that re-executes does not meet its own chunk as a duplicate. *)
 let apply_step env st (s : step) =
-  let ok_chunk =
-    if s.status <> "ok" then true
-    else
-      match chunk_profile env st ~gen:s.gen ~id:s.chunk_id with
-      | Some p ->
-          (match Profile_chunk.ingest_profile st.accum ~id:s.chunk_id p with
-          | Profile_chunk.Added _ | Profile_chunk.Duplicate _ -> ());
-          push_window env st ~gen:s.gen ~id:s.chunk_id;
-          true
-      | None -> false
+  let accepted = s.status = "ok" in
+  let chunk_ok =
+    (not accepted)
+    ||
+    match chunk_profile env st ~gen:s.gen ~id:s.chunk_id with
+    | Some p ->
+        check_lengths p;
+        true
+    | None -> false
   in
-  if not ok_chunk then false
-  else
+  let deployment_ok () =
     match s.action with
     | A_rollout -> (
         match (s.deployed, s.plan_digest, s.postcov) with
@@ -516,6 +568,15 @@ let apply_step env st (s : step) =
     | A_none | A_rollback | A_quarantined ->
         (* the incumbent must be what the line says it was *)
         s.deployed = Option.map (fun d -> d.d_gen) st.dep
+  in
+  if chunk_ok && deployment_ok () then begin
+    if accepted then begin
+      Hashtbl.replace st.seen s.chunk_id ();
+      push_window env st ~gen:s.gen ~id:s.chunk_id
+    end;
+    true
+  end
+  else false
 
 let init_states cfg =
   let states = Hashtbl.create 8 in
@@ -529,9 +590,7 @@ let init_states cfg =
               name = app;
               wcfg;
               cfg_static = Workloads.build_cfg wcfg;
-              accum =
-                Profile_chunk.create_accum ~max_samples:cfg.max_samples
-                  ~lengths:Workloads.lengths ();
+              seen = Hashtbl.create 64;
               profiles = Hashtbl.create 16;
               win = [];
               dep = None;
@@ -617,10 +676,31 @@ let validate cfg =
         ("chunk_events", cfg.chunk_events);
         ("window", cfg.window);
         ("max_samples", cfg.max_samples);
+        ("jobs", cfg.jobs);
       ]
   with
   | Some (field, v) -> Error (Printf.sprintf "%s must be >= 1 (got %d)" field v)
   | None -> Ok ()
+
+(* Only steps without a [Done] record are collected ahead: a journaled
+   step is normally applied, not executed. *)
+let make_prefetch cfg ~prior =
+  if cfg.jobs <= 1 then None
+  else
+    let fresh gen app =
+      match Hashtbl.find_opt prior (step_key ~gen ~app) with
+      | Some { Journal.status = Journal.Done; _ } -> None
+      | _ -> Some (gen, app)
+    in
+    Some
+      {
+        pool = Pool.shared ~jobs:cfg.jobs;
+        todo =
+          List.concat_map
+            (fun gen -> List.filter_map (fresh gen) cfg.apps)
+            (List.init cfg.generations Fun.id);
+        inflight = Queue.create ();
+      }
 
 let run cfg =
   Result.iter_error
@@ -647,6 +727,7 @@ let run cfg =
       journal;
       states = init_states cfg;
       steps = Hashtbl.create 64;
+      prefetch = make_prefetch cfg ~prior;
       n_completed = 0;
       n_resumed = 0;
       interrupted = false;
@@ -657,6 +738,7 @@ let run cfg =
      (zero fresh analyses, zero machine work) exports a nonzero spans
      section — `--metrics-valid` must hold on any resume schedule *)
   (Tm.span "serve.run" @@ fun () ->
+   Fun.protect ~finally:(fun () -> drain_prefetch env) @@ fun () ->
    let exception Stop in
    try
      for gen = 0 to cfg.generations - 1 do

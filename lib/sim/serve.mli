@@ -6,16 +6,20 @@
     delivery interval, per application: a trace chunk is collected from
     the (possibly drifting) workload and delivered — optionally
     corrupted by the {!Whisper_util.Fault} machinery — to the service,
-    which ingests it into the app's canonical
-    {!Whisper_trace.Profile_chunk} accumulator (re-deliveries are
-    counted no-ops), re-scores the deployed hint plan against a sliding
-    window of recent chunks ({!Whisper_core.Rescore}), and when
+    which accepts it once per content id (re-deliveries are counted
+    no-ops), re-scores the deployed hint plan against a sliding window
+    of recent chunks merged with {!Whisper_trace.Profile_chunk}
+    ({!Whisper_core.Rescore}), and when
     coverage has decayed past the drift threshold re-runs the full
     analysis over the shared domain pool.  A candidate plan is rolled
     out only if it scores at least as well as the incumbent on the same
     window — otherwise it is rolled back and the incumbent stays
     deployed.  Corrupt chunks and faulted analyses quarantine; they
     never kill the service.
+
+    With [jobs > 1] the next chunks are collected on the shared domain
+    pool while the current step runs; only collection moves, so every
+    output below is the same at any [jobs].
 
     Crash safety mirrors {!Sweep}: the scenario is frozen into a
     content-keyed {!Whisper_util.Manifest}, every completed
@@ -35,7 +39,7 @@ type config = {
   chunk_events : int;  (** branch events collected per chunk *)
   window : int;  (** sliding window, in accepted chunks *)
   kb : int;  (** baseline predictor budget during collection *)
-  max_samples : int;  (** accumulator per-branch sample cap *)
+  max_samples : int;  (** per-branch sample cap of chunks and window merges *)
   drift_flip : int option;
       (** generation at which the workload switches to session-mix
           phase 1 ({!Whisper_trace.App_model} [?phase]) *)
@@ -43,7 +47,9 @@ type config = {
       (** re-analysis triggers when window coverage falls below
           [decay_frac] x the deployed plan's rollout coverage *)
   state_dir : string;  (** manifest, journal, chunk and plan stores *)
-  jobs : int;  (** analysis fan-out over the shared pool *)
+  jobs : int;
+      (** analysis fan-out and chunk-collection lookahead over the shared
+          pool: up to [jobs] chunks in flight; 1 collects inline *)
   faults : float;  (** chaos rate, 0.0 = off *)
   fault_seed : int;
   redeliver : bool;  (** re-offer each accepted chunk (idempotency probe) *)
@@ -102,8 +108,8 @@ type outcome = {
 }
 
 val validate : config -> (unit, string) result
-(** [Error] names the first of [chunk_events], [window] and
-    [max_samples] that is below 1. *)
+(** [Error] names the first of [chunk_events], [window], [max_samples]
+    and [jobs] that is below 1. *)
 
 val run : config -> outcome
 (** Execute (or resume) the scripted scenario.  The ledger and summary

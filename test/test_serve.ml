@@ -20,8 +20,14 @@
      produces exactly the closure Profile.collect chunk;
    - a tiny fixed scenario's ledger and summary match a pinned digest, so
      a collector change that alters any chunk fails here;
-   - non-positive chunk_events / window / max_samples are rejected before
-     the state dir is touched.
+   - non-positive chunk_events / window / max_samples / jobs are rejected
+     before the state dir is touched;
+   - pipelined chunk collection (jobs > 1) is invisible in every durable
+     output — ledger, summary, journal bytes, chunk and plan stores,
+     Telemetry counters — and an interrupted pipeline stores no chunk of
+     a step that did not run;
+   - a resume whose window has moved past a lost chunk file regenerates
+     it and still matches the clean run.
 
    State dirs go through Test_dirs so runtest leaves nothing behind. *)
 
@@ -530,6 +536,186 @@ let test_serve_manifest_change_invalidates_journal () =
   check_bool "ledger identical to a clean run of the new scenario" true
     (clean.Whisper_sim.Serve.ledger = o.Whisper_sim.Serve.ledger)
 
+(* Every durable output of a finished run: ledger, summary, journal
+   bytes, the chunk and plan stores (relative path and content digest),
+   and the Telemetry counter section. *)
+let serve_outputs cfg =
+  Telemetry.reset ();
+  let o = Whisper_sim.Serve.run cfg in
+  let dir = cfg.Whisper_sim.Serve.state_dir in
+  let rec files rel =
+    let path = Filename.concat dir rel in
+    if Sys.is_directory path then
+      List.concat_map
+        (fun e -> files (Filename.concat rel e))
+        (List.sort compare (Array.to_list (Sys.readdir path)))
+    else [ (rel, Digest.to_hex (Digest.file path)) ]
+  in
+  let store name =
+    if Sys.file_exists (Filename.concat dir name) then files name else []
+  in
+  ( o,
+    ( o.Whisper_sim.Serve.ledger,
+      o.Whisper_sim.Serve.summary,
+      Durable.read (Filename.concat dir "journal.bin"),
+      store "chunks" @ store "plans",
+      Telemetry.counters (Telemetry.snapshot ()) ) )
+
+let two_app_cfg ~faults ~jobs ~state_dir =
+  {
+    (serve_cfg ~faults ~generations:5 ~state_dir ()) with
+    Whisper_sim.Serve.apps = [ "finagle-http"; "cassandra" ];
+    chunk_events = 40_000;
+    window = 2;
+    jobs;
+  }
+
+let test_serve_jobs_invariant () =
+  List.iter
+    (fun faults ->
+      let run jobs =
+        serve_outputs
+          (two_app_cfg ~faults ~jobs
+             ~state_dir:(Test_dirs.fresh (Printf.sprintf "serve_j%d" jobs)))
+      in
+      let o1, ref1 = run 1 in
+      if faults > 0.0 then
+        check_bool "chaos rate quarantined a chunk" true
+          (o1.Whisper_sim.Serve.chunks_quarantined > 0);
+      let ledger, summary, journal, stores, counters = ref1 in
+      List.iter
+        (fun jobs ->
+          let _, (l, s, j, st, c) = run jobs in
+          let what x =
+            Printf.sprintf "faults %.1f, jobs %d: %s" faults jobs x
+          in
+          check_bool (what "ledger") true (l = ledger);
+          check_bool (what "summary") true (s = summary);
+          check_bool (what "journal bytes") true (j = journal && j <> None);
+          check_bool (what "chunk and plan stores") true (st = stores);
+          check_bool (what "telemetry counters") true (c = counters))
+        [ 2; 3 ])
+    [ 0.0; 0.4 ]
+
+(* The [chunk=] id of each journaled step whose chunk was accepted. *)
+let journaled_chunks cfg =
+  let field line name =
+    let prefix = name ^ "=" in
+    List.find_map
+      (fun tok ->
+        if String.starts_with ~prefix tok then
+          Some
+            (String.sub tok (String.length prefix)
+               (String.length tok - String.length prefix))
+        else None)
+      (String.split_on_char ' ' line)
+  in
+  let dir = cfg.Whisper_sim.Serve.state_dir in
+  match
+    Journal.open_existing
+      ~path:(Filename.concat dir "journal.bin")
+      ~manifest_id:(Manifest.id (Whisper_sim.Serve.plan cfg))
+  with
+  | Error e -> Alcotest.failf "journal: %s" (Whisper_error.to_string e)
+  | Ok (j, r) ->
+      Journal.close j;
+      List.filter_map
+        (fun (e : Journal.entry) ->
+          match (field e.detail "status", field e.detail "chunk") with
+          | Some "ok", Some id -> Some (id ^ ".bin")
+          | _ -> None)
+        r.Journal.entries
+
+let stored_chunks cfg ~app =
+  let d =
+    Filename.concat
+      (Filename.concat cfg.Whisper_sim.Serve.state_dir "chunks")
+      app
+  in
+  if Sys.file_exists d then List.sort compare (Array.to_list (Sys.readdir d))
+  else []
+
+let test_serve_interrupted_pipeline () =
+  let mk ?max_steps ~jobs state_dir =
+    { (serve_cfg ~state_dir ()) with Whisper_sim.Serve.jobs; max_steps }
+  in
+  let clean =
+    Whisper_sim.Serve.run (mk ~jobs:1 (Test_dirs.fresh "serve_pclean"))
+  in
+  let dir = Test_dirs.fresh "serve_pkill" in
+  let k = Whisper_sim.Serve.run (mk ~max_steps:3 ~jobs:2 dir) in
+  check_bool "interrupted" true k.Whisper_sim.Serve.interrupted;
+  let cfg = mk ~jobs:2 dir in
+  let journaled = journaled_chunks cfg in
+  check_int "three steps journaled, all accepted" 3 (List.length journaled);
+  check_bool "chunks/ holds exactly the journaled steps' chunks" true
+    (List.sort compare journaled = stored_chunks cfg ~app:"finagle-http");
+  let fin =
+    Whisper_sim.Serve.run
+      { (mk ~jobs:1 dir) with Whisper_sim.Serve.resume = true }
+  in
+  check_int "resumed the journaled steps" 3 fin.Whisper_sim.Serve.resumed;
+  check_bool "ledger identical to the clean run" true
+    (clean.Whisper_sim.Serve.ledger = fin.Whisper_sim.Serve.ledger);
+  check_bool "summary identical to the clean run" true
+    (clean.Whisper_sim.Serve.summary = fin.Whisper_sim.Serve.summary)
+
+(* The window has moved past generation 0 when the run stops, so that
+   chunk is no longer cached anywhere; with its file gone, resume must
+   regenerate it. *)
+let test_serve_evicted_window_resume () =
+  let mk ?max_steps ?(resume = false) ~jobs state_dir =
+    {
+      (serve_cfg ~generations:6 ~state_dir ()) with
+      Whisper_sim.Serve.window = 2;
+      jobs;
+      max_steps;
+      resume;
+    }
+  in
+  let clean_dir = Test_dirs.fresh "serve_eclean" in
+  let _, clean = serve_outputs (mk ~jobs:1 clean_dir) in
+  let dir = Test_dirs.fresh "serve_evict" in
+  ignore (Whisper_sim.Serve.run (mk ~max_steps:4 ~jobs:2 dir));
+  let gen0 = List.hd (journaled_chunks (mk ~jobs:2 dir)) in
+  Sys.remove
+    (Filename.concat
+       (Filename.concat (Filename.concat dir "chunks") "finagle-http")
+       gen0);
+  let o, (l, s, j, _, _) = serve_outputs (mk ~resume:true ~jobs:2 dir) in
+  let ledger, summary, journal, _, _ = clean in
+  check_int "four steps resumed" 4 o.Whisper_sim.Serve.resumed;
+  check_bool "ledger identical to the clean run" true (l = ledger);
+  check_bool "summary identical to the clean run" true (s = summary);
+  check_bool "journal bytes identical to the clean run" true (j = journal)
+
+(* A journaled rollout whose plan file no longer matches its digest
+   re-executes; the chunk it had already applied must not turn into a
+   duplicate of itself (visible as redup=1 without redelivery). *)
+let test_serve_bad_plan_resume () =
+  let mk ?max_steps ?(resume = false) state_dir =
+    {
+      (serve_cfg ~state_dir ()) with
+      Whisper_sim.Serve.redeliver = false;
+      max_steps;
+      resume;
+    }
+  in
+  let clean = Whisper_sim.Serve.run (mk (Test_dirs.fresh "serve_bclean")) in
+  let dir = Test_dirs.fresh "serve_bplan" in
+  ignore (Whisper_sim.Serve.run (mk ~max_steps:1 dir));
+  let plan =
+    Filename.concat
+      (Filename.concat (Filename.concat dir "plans") "finagle-http")
+      "g0000.bin"
+  in
+  check_bool "generation 0 rolled a plan out" true (Sys.file_exists plan);
+  Durable.write_atomic plan (Bytes.of_string "not a plan");
+  let fin = Whisper_sim.Serve.run (mk ~resume:true dir) in
+  check_int "the bad step re-executed" 0 fin.Whisper_sim.Serve.resumed;
+  check_bool "ledger identical to the clean run" true
+    (clean.Whisper_sim.Serve.ledger = fin.Whisper_sim.Serve.ledger)
+
 let test_serve_rejects_bad_config () =
   List.iter
     (fun (bad, expect) ->
@@ -550,6 +736,10 @@ let test_serve_rejects_bad_config () =
         "window must be >= 1 (got 0)" );
       ( (fun c -> { c with Whisper_sim.Serve.max_samples = 0 }),
         "max_samples must be >= 1 (got 0)" );
+      ( (fun c -> { c with Whisper_sim.Serve.jobs = 0 }),
+        "jobs must be >= 1 (got 0)" );
+      ( (fun c -> { c with Whisper_sim.Serve.jobs = -2 }),
+        "jobs must be >= 1 (got -2)" );
     ]
 
 let () =
@@ -595,5 +785,13 @@ let () =
             test_serve_manifest_change_invalidates_journal;
           Alcotest.test_case "invalid config rejected up front" `Quick
             test_serve_rejects_bad_config;
+          Alcotest.test_case "jobs-invariant" `Slow
+            test_serve_jobs_invariant;
+          Alcotest.test_case "interrupted pipeline leaves no orphan chunks"
+            `Slow test_serve_interrupted_pipeline;
+          Alcotest.test_case "evicted-window resume" `Slow
+            test_serve_evicted_window_resume;
+          Alcotest.test_case "corrupt plan file re-executes cleanly" `Slow
+            test_serve_bad_plan_resume;
         ] );
     ]
