@@ -80,6 +80,7 @@ let micro_tests () =
   let tables = Whisper_core.Algorithm1.tables_of_counts ~taken ~not_taken in
   let rnd = Whisper_core.Randomized.create Whisper_core.Config.default in
   let cands = Whisper_core.Randomized.candidates rnd in
+  let packed = Whisper_core.Randomized.packed_candidates rnd in
   let counter = ref 0 in
   [
     Test.make ~name:"formula-eval (tree walk)"
@@ -106,8 +107,8 @@ let micro_tests () =
     Test.make ~name:"algorithm1 (32 candidate formulas)"
       (Staged.stage (fun () ->
            ignore
-             (Whisper_core.Algorithm1.find tables ~candidates:cands
-                ~truth_of:(Whisper_core.Randomized.truth_of rnd))));
+             (Whisper_core.Algorithm1.find_packed tables ~candidates:cands
+                ~packed)));
     Test.make ~name:"hint-buffer insert+probe"
       (Staged.stage (fun () ->
            Whisper_core.Hint_buffer.insert buf ~branch_pc:(!counter land 63)
@@ -148,10 +149,11 @@ let run_micro () =
 (* Part 1b: search-engine benchmark (BENCH_search.json)               *)
 (* ------------------------------------------------------------------ *)
 
-(* Times the bit-parallel Algorithm-1 engine against the retained naive
-   reference path on a real datacenter profile, checks the two agree on
-   every branch, and writes the numbers to a machine-readable JSON file
-   so the perf trajectory is tracked across PRs.
+(* Times the bit-parallel Algorithm-1 engine against the naive oracle
+   (the tests' Whisper_oracle) on a real datacenter profile, checks the
+   two agree on every branch, and writes the numbers to a
+   machine-readable JSON file so the perf trajectory is tracked across
+   PRs.
 
    Extra environment:
      WHISPER_BENCH_SMOKE  short mode for CI (small trace, short timing
@@ -189,14 +191,21 @@ let search_bench () =
   let nc = Array.length cands in
   let pcs = Profile.candidates profile in
   let n_pcs = Array.length pcs in
+  (* one branch's counts at one history length, as (packed engine,
+     naive oracle) tables over the same samples *)
+  let tables_at pc l =
+    let taken = Array.make 256 0 and not_taken = Array.make 256 0 in
+    Profile.iter_samples profile ~pc
+      ~f:(fun ~raw8:_ ~raw56:_ ~hash ~taken:tk ~correct:_ ->
+        let k = hash l in
+        if tk then taken.(k) <- taken.(k) + 1
+        else not_taken.(k) <- not_taken.(k) + 1);
+    ( Whisper_core.Algorithm1.tables_of_counts ~taken ~not_taken,
+      Whisper_oracle.Algorithm1.tables_of_counts ~taken ~not_taken )
+  in
   (* --- scoring primitives, on the hottest branch's mid-length tables *)
-  let taken = Array.make 256 0 and not_taken = Array.make 256 0 in
-  Profile.iter_samples profile ~pc:pcs.(0)
-    ~f:(fun ~raw8:_ ~raw56:_ ~hash ~taken:tk ~correct:_ ->
-      let k = hash (config.n_lengths / 2) in
-      if tk then taken.(k) <- taken.(k) + 1
-      else not_taken.(k) <- not_taken.(k) + 1);
-  let tables = Whisper_core.Algorithm1.tables_of_counts ~taken ~not_taken in
+  let mid = config.Whisper_core.Config.n_lengths / 2 in
+  let tables, naive_tables = tables_at pcs.(0) mid in
   let truths = Array.map (Whisper_core.Randomized.truth_of rnd) cands in
   let sink = ref 0 in
   let fnc = float_of_int nc in
@@ -204,7 +213,9 @@ let search_bench () =
     time_ns ~min_s (fun () ->
         for i = 0 to nc - 1 do
           sink :=
-            !sink + Whisper_core.Algorithm1.mispredictions tables ~truth:truths.(i)
+            !sink
+            + Whisper_oracle.Algorithm1.mispredictions naive_tables
+                ~truth:truths.(i)
         done)
     /. fnc
   in
@@ -222,26 +233,13 @@ let search_bench () =
      mid-length tables: one number per engine for the whole profile's
      search workload rather than a single cherry-picked branch *)
   let fn_pcs = float_of_int (max 1 n_pcs) in
-  let mid = config.Whisper_core.Config.n_lengths / 2 in
-  let all_tables =
-    Array.map
-      (fun pc ->
-        Array.fill taken 0 256 0;
-        Array.fill not_taken 0 256 0;
-        Profile.iter_samples profile ~pc
-          ~f:(fun ~raw8:_ ~raw56:_ ~hash ~taken:tk ~correct:_ ->
-            let k = hash mid in
-            if tk then taken.(k) <- taken.(k) + 1
-            else not_taken.(k) <- not_taken.(k) + 1);
-        Whisper_core.Algorithm1.tables_of_counts ~taken ~not_taken)
-      pcs
-  in
+  let all_tables = Array.map (fun pc -> tables_at pc mid) pcs in
   let find_ns =
     time_ns ~min_s (fun () ->
         Array.iter
-          (fun t ->
+          (fun (_, t) ->
             ignore
-              (Whisper_core.Algorithm1.find t ~candidates:cands
+              (Whisper_oracle.Algorithm1.find t ~candidates:cands
                  ~truth_of:(Whisper_core.Randomized.truth_of rnd)))
           all_tables)
     /. fn_pcs
@@ -249,7 +247,7 @@ let search_bench () =
   let find_packed_ns =
     time_ns ~min_s (fun () ->
         Array.iter
-          (fun t ->
+          (fun (t, _) ->
             ignore
               (Whisper_core.Algorithm1.find_packed t ~candidates:cands ~packed))
           all_tables)
@@ -263,25 +261,12 @@ let search_bench () =
      and suffix bound can abandon hopeless lengths and candidates —
      winners are asserted identical *)
   let nl = config.Whisper_core.Config.n_lengths in
-  let length_tables =
-    Array.map
-      (fun pc ->
-        Array.init nl (fun l ->
-            Array.fill taken 0 256 0;
-            Array.fill not_taken 0 256 0;
-            Profile.iter_samples profile ~pc
-              ~f:(fun ~raw8:_ ~raw56:_ ~hash ~taken:tk ~correct:_ ->
-                let k = hash l in
-                if tk then taken.(k) <- taken.(k) + 1
-                else not_taken.(k) <- not_taken.(k) + 1);
-            Whisper_core.Algorithm1.tables_of_counts ~taken ~not_taken))
-      pcs
-  in
+  let length_tables = Array.map (fun pc -> Array.init nl (tables_at pc)) pcs in
   let search_naive tl =
     let best_l = ref (-1) and best_f = ref (-1) and best_m = ref max_int in
     for l = 0 to nl - 1 do
       let f, m =
-        Whisper_core.Algorithm1.find tl.(l) ~candidates:cands
+        Whisper_oracle.Algorithm1.find (snd tl.(l)) ~candidates:cands
           ~truth_of:(Whisper_core.Randomized.truth_of rnd)
       in
       if m < !best_m then begin
@@ -296,7 +281,7 @@ let search_bench () =
     let best_l = ref (-1) and best_f = ref (-1) and best_m = ref max_int in
     for l = 0 to nl - 1 do
       match
-        Whisper_core.Algorithm1.find_packed_below tl.(l) ~candidates:cands
+        Whisper_core.Algorithm1.find_packed_below (fst tl.(l)) ~candidates:cands
           ~packed ~cutoff:!best_m
       with
       | Some (_, f, m) ->
@@ -335,7 +320,7 @@ let search_bench () =
   Array.iter
     (fun pc ->
       let opt = Whisper_core.History_select.decide ~scratch config rnd profile ~pc in
-      let ref_ = Whisper_core.History_select.Reference.decide config rnd profile ~pc in
+      let ref_ = Whisper_oracle.History_select.decide config rnd profile ~pc in
       if opt <> ref_ then
         failwith (Printf.sprintf "optimized decide disagrees at pc=0x%x" pc))
     pcs;
@@ -344,8 +329,7 @@ let search_bench () =
         Array.iter
           (fun pc ->
             ignore
-              (Whisper_core.History_select.Reference.decide config rnd profile
-                 ~pc))
+              (Whisper_oracle.History_select.decide config rnd profile ~pc))
           pcs)
     /. fn_pcs
   in
@@ -717,7 +701,7 @@ let replay_bench () =
           Whisper_core.Runtime.baseline_predictions rt,
           Whisper_core.Runtime.buffer_stats rt );
     let rf =
-      Whisper_core.Runtime.Reference.create wh_config ~baseline:(wh_baseline ())
+      Whisper_oracle.Runtime.create wh_config ~baseline:(wh_baseline ())
         ~plan:wh_plan
     in
     let s, correct =
@@ -725,7 +709,7 @@ let replay_bench () =
           let ok = ref 0 in
           for i = 0 to n_events - 1 do
             if
-              Whisper_core.Runtime.Reference.exec_at rf
+              Whisper_oracle.Runtime.exec_at rf
                 ~block:(Arena.block arena i) ~pc:(Arena.pc arena i)
                 ~taken:(Arena.taken arena i)
             then incr ok
@@ -736,10 +720,10 @@ let replay_bench () =
     reference_out :=
       Some
         ( correct,
-          Whisper_core.Runtime.Reference.hinted_predictions rf,
-          Whisper_core.Runtime.Reference.hinted_mispredictions rf,
-          Whisper_core.Runtime.Reference.baseline_predictions rf,
-          Whisper_core.Runtime.Reference.buffer_stats rf )
+          Whisper_oracle.Runtime.hinted_predictions rf,
+          Whisper_oracle.Runtime.hinted_mispredictions rf,
+          Whisper_oracle.Runtime.baseline_predictions rf,
+          Whisper_oracle.Runtime.buffer_stats rf )
   done;
   if !compiled_out <> !reference_out then
     failwith "compiled whisper runtime diverges from the interpretive oracle";
@@ -1249,6 +1233,7 @@ let hash_ablation () =
   in
   let rnd = Whisper_core.Randomized.create Whisper_core.Config.default in
   let cands = Whisper_core.Randomized.candidates rnd in
+  let packed = Whisper_core.Randomized.packed_candidates rnd in
   List.iter
     (fun op ->
       let total = ref 0 and mis = ref 0 in
@@ -1267,9 +1252,9 @@ let hash_ablation () =
                 Whisper_core.Algorithm1.tables_of_counts ~taken ~not_taken
               in
               if Whisper_core.Algorithm1.distinct_keys tables > 0 then begin
-                let _, m =
-                  Whisper_core.Algorithm1.find tables ~candidates:cands
-                    ~truth_of:(Whisper_core.Randomized.truth_of rnd)
+                let _, _, m =
+                  Whisper_core.Algorithm1.find_packed tables ~candidates:cands
+                    ~packed
                 in
                 let t, nt = Whisper_core.Algorithm1.tables_total tables in
                 total := !total + t + nt;

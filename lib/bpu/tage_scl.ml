@@ -4,9 +4,7 @@ type t = {
   sc : Stat_corrector.t;
   loop : Loop_pred.t;
   mutable ctx_pc : int;
-  mutable ctx_pred : bool;
   mutable ctx_tage_pred : bool;
-  mutable ctx_loop_used : bool;
 }
 
 let create sizes =
@@ -16,12 +14,8 @@ let create sizes =
     sc = Stat_corrector.create ~log_entries:sizes.Sizes.sc_log;
     loop = Loop_pred.create ~log_entries:sizes.Sizes.loop_log;
     ctx_pc = 0;
-    ctx_pred = false;
     ctx_tage_pred = false;
-    ctx_loop_used = false;
   }
-
-let standard () = create Sizes.standard
 
 let storage_bits t = Sizes.total_bits t.sizes
 
@@ -33,13 +27,9 @@ let predict t ~pc =
   in
   (* allocation-free on the replay path: no option, no boxed optional *)
   let loop_code = Loop_pred.predict_code t.loop ~pc in
-  let loop_used = loop_code >= 0 in
-  let final = if loop_used then loop_code = 1 else sc_pred in
   t.ctx_pc <- pc;
-  t.ctx_pred <- final;
   t.ctx_tage_pred <- tage_pred;
-  t.ctx_loop_used <- loop_used;
-  final
+  if loop_code >= 0 then loop_code = 1 else sc_pred
 
 let train t ~pc ~taken =
   if pc <> t.ctx_pc then invalid_arg "Tage_scl.train: mismatch";
@@ -47,11 +37,6 @@ let train t ~pc ~taken =
     ~tage_mispredicted:(t.ctx_tage_pred <> taken);
   Stat_corrector.train t.sc ~pc ~taken;
   Tage.train t.tage ~pc ~taken
-
-let debug_reason t =
-  if t.ctx_loop_used then "loop-override"
-  else if t.ctx_pred <> t.ctx_tage_pred then "sc-veto"
-  else "tage-wrong"
 
 let spectate t ~pc ~taken =
   Stat_corrector.spectate t.sc ~taken;

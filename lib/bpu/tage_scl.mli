@@ -6,17 +6,12 @@
 type t
 
 val create : Sizes.t -> t
-val standard : unit -> t
-(** 64 KB configuration. *)
 
 val storage_bits : t -> int
 
 val predict : t -> pc:int -> bool
 val train : t -> pc:int -> taken:bool -> unit
 val spectate : t -> pc:int -> taken:bool -> unit
-
-val debug_reason : t -> string
-(** Which component produced the last prediction (diagnostics). *)
 
 val predictor : Sizes.t -> Predictor.t
 (** Package as a {!Predictor.t} named ["tage-scl-<kb>KB"]. *)

@@ -4,19 +4,15 @@ type tables = {
          the tables are a view into a scratch (see
          [tables_of_cells_below]) *)
   n_scored : int;
-      (* prefix of [keys]/[delta] the packed scorers must visit: keys
-         with delta = 0 contribute nothing to
+      (* prefix of [keys]/[delta] the scorers must visit: keys with
+         delta = 0 contribute nothing to
          [m = t_total - sum over satisfied keys of delta] and are sorted
-         (or compacted) past this point, so the bit-parallel engines can
-         ignore them outright — the naive scorer cannot, it needs both
-         per-key counts *)
+         (or compacted) past this point *)
   keys : int array;  (* distinct keys; first [n_scored] entries valid *)
-  taken : int array;  (* parallel to keys *)
-  not_taken : int array;
   delta : int array;  (* taken - not_taken, parallel to keys *)
   gain_bound : int array;
       (* gain_bound.(i) = sum over j >= i of max 0 delta.(j); indices
-         [0 .. n_keys] valid so index n_keys reads 0 *)
+         [0 .. n_scored] valid so index n_scored reads 0 *)
   t_total : int;
   nt_total : int;
   floor : int;
@@ -27,158 +23,83 @@ type tables = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Scratch-backed table building                                      *)
+(* Table building                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One scratch serves any number of sequential [tables_of_counts] /
-   builder calls: the caller-visible [tables] copies out exactly-sized
-   arrays, so the scratch can be reused immediately.  Not safe to share
-   across domains — give each worker its own. *)
+(* Workspace of the view tables [tables_of_cells_below] returns, sized
+   for the 8-bit hash space.  Not safe to share across domains — give
+   each worker its own. *)
 type scratch = {
   b_keys : int array;
-  b_taken : int array;
-  b_not_taken : int array;
-  b_count : int array;  (* 256 counting-sort buckets *)
-  b_order : int array;  (* sorted slot permutation *)
-  b_delta : int array;  (* view-table delta, parallel to b_keys *)
-  b_gain : int array;  (* view-table gain bound, length max_keys + 1 *)
-  mutable b_n : int;
-  mutable b_t_total : int;
-  mutable b_nt_total : int;
+  b_delta : int array;  (* parallel to b_keys *)
+  b_gain : int array;  (* gain bound, one longer than b_keys *)
 }
 
-let n_buckets = 256
-
-let scratch ?(max_keys = 256) () =
+let scratch () =
   {
-    b_keys = Array.make max_keys 0;
-    b_taken = Array.make max_keys 0;
-    b_not_taken = Array.make max_keys 0;
-    b_count = Array.make n_buckets 0;
-    b_order = Array.make max_keys 0;
-    b_delta = Array.make max_keys 0;
-    b_gain = Array.make (max_keys + 1) 0;
-    b_n = 0;
-    b_t_total = 0;
-    b_nt_total = 0;
+    b_keys = Array.make 256 0;
+    b_delta = Array.make 256 0;
+    b_gain = Array.make 257 0;
   }
 
-let builder_reset s =
-  s.b_n <- 0;
-  s.b_t_total <- 0;
-  s.b_nt_total <- 0
-
-let builder_add s ~key ~taken ~not_taken =
-  let i = s.b_n in
-  s.b_keys.(i) <- key;
-  s.b_taken.(i) <- taken;
-  s.b_not_taken.(i) <- not_taken;
-  s.b_n <- i + 1;
-  s.b_t_total <- s.b_t_total + taken;
-  s.b_nt_total <- s.b_nt_total + not_taken
+let fill_gain_bound gain ~delta ~n =
+  Array.unsafe_set gain n 0;
+  for i = n - 1 downto 0 do
+    let d = Array.unsafe_get delta i in
+    Array.unsafe_set gain i
+      (Array.unsafe_get gain (i + 1) + if d > 0 then d else 0)
+  done
 
 (* Key order never affects scores (integer sums are exact and the bounded
    scorer is exact below its cutoff) — ordering by decreasing |delta| only
-   sharpens pruning.  So an approximate order is fine, and a stable
-   counting sort on min(|delta|, 255) beats a comparison sort without any
-   per-element closure calls. *)
-let builder_finish s =
-  let n = s.b_n in
-  let bucket i =
-    let d = abs (s.b_taken.(i) - s.b_not_taken.(i)) in
-    if d < n_buckets then d else n_buckets - 1
-  in
-  Array.fill s.b_count 0 n_buckets 0;
-  for i = 0 to n - 1 do
-    let b = bucket i in
-    s.b_count.(b) <- s.b_count.(b) + 1
-  done;
-  (* bucket 0 holds exactly the zero-delta keys, and the descending
-     placement below parks it last — so the scored prefix is just
-     everything before it *)
-  let n_scored = n - s.b_count.(0) in
-  (* descending buckets: running start positions from the top down *)
-  let pos = ref 0 in
-  for b = n_buckets - 1 downto 0 do
-    let c = s.b_count.(b) in
-    s.b_count.(b) <- !pos;
-    pos := !pos + c
-  done;
-  for i = 0 to n - 1 do
-    let b = bucket i in
-    s.b_order.(s.b_count.(b)) <- i;
-    s.b_count.(b) <- s.b_count.(b) + 1
-  done;
-  let keys = Array.make n 0
-  and taken = Array.make n 0
-  and not_taken = Array.make n 0
-  and delta = Array.make n 0 in
-  let floor = ref 0 in
-  for j = 0 to n - 1 do
-    let i = Array.unsafe_get s.b_order j in
-    let t = Array.unsafe_get s.b_taken i
-    and nt = Array.unsafe_get s.b_not_taken i in
-    Array.unsafe_set keys j (Array.unsafe_get s.b_keys i);
-    Array.unsafe_set taken j t;
-    Array.unsafe_set not_taken j nt;
-    Array.unsafe_set delta j (t - nt);
-    floor := !floor + if t < nt then t else nt
-  done;
-  let gain_bound = Array.make (n + 1) 0 in
-  for i = n - 1 downto 0 do
-    let d = delta.(i) in
-    gain_bound.(i) <- gain_bound.(i + 1) + (if d > 0 then d else 0)
-  done;
-  {
-    n_keys = n;
-    n_scored;
-    keys;
-    taken;
-    not_taken;
-    delta;
-    gain_bound;
-    t_total = s.b_t_total;
-    nt_total = s.b_nt_total;
-    floor = !floor;
-  }
-
-(* Single fused pass over the dense counters: key filtering, totals and
-   compaction happen together (no intermediate list, no per-field map). *)
-let tables_of_counts_into s ~taken ~not_taken =
+   sharpens pruning.  Buckets of min(|delta|, 255), stable so equal
+   buckets keep ascending key order; bucket 0 holds exactly the
+   zero-delta keys and sorts last, so the scored prefix is everything
+   before it. *)
+let tables_of_counts ~taken ~not_taken =
   let n = Array.length taken in
   if n <> Array.length not_taken then invalid_arg "Algorithm1.tables_of_counts";
-  if Array.length s.b_keys < n then
-    invalid_arg "Algorithm1.tables_of_counts: scratch too small";
-  builder_reset s;
-  for k = 0 to n - 1 do
-    let t = Array.unsafe_get taken k and nt = Array.unsafe_get not_taken k in
-    if t > 0 || nt > 0 then builder_add s ~key:k ~taken:t ~not_taken:nt
-  done;
-  builder_finish s
-
-let tables_of_counts ~taken ~not_taken =
-  tables_of_counts_into (scratch ~max_keys:(Array.length taken) ()) ~taken
-    ~not_taken
+  let bucket k = min (abs (taken.(k) - not_taken.(k))) 255 in
+  let keys =
+    List.init n Fun.id
+    |> List.filter (fun k -> taken.(k) > 0 || not_taken.(k) > 0)
+    |> List.stable_sort (fun a b -> Int.compare (bucket b) (bucket a))
+    |> Array.of_list
+  in
+  let n_keys = Array.length keys in
+  let delta = Array.map (fun k -> taken.(k) - not_taken.(k)) keys in
+  let n_scored =
+    Array.fold_left (fun acc d -> if d <> 0 then acc + 1 else acc) 0 delta
+  in
+  let gain_bound = Array.make (n_keys + 1) 0 in
+  fill_gain_bound gain_bound ~delta ~n:n_scored;
+  let sum f = Array.fold_left (fun acc k -> acc + f k) 0 keys in
+  {
+    n_keys;
+    n_scored;
+    keys;
+    delta;
+    gain_bound;
+    t_total = sum (Array.get taken);
+    nt_total = sum (Array.get not_taken);
+    floor = sum (fun k -> min taken.(k) not_taken.(k));
+  }
 
 (* Hot-path extraction for the single-pass profile tabulation: cell
-   [cells.(off + k)] packs key [k]'s taken count in bits
-   [shift .. shift+15] and its not-taken count in [shift+16 .. shift+31].
-   One fused pass compacts the occupied keys and accumulates the
-   irreducible misprediction floor [sum_k min(t_k, nt_k)] — no formula
-   can score below it, so when the floor already meets [cutoff] the
-   whole extraction is skipped without affecting any result.
+   [cells.(off + k)] packs key [k]'s taken count in bits 0..30 and its
+   not-taken count in bits 31..61.  One fused pass compacts the occupied
+   keys and accumulates the irreducible misprediction floor
+   [sum_k min(t_k, nt_k)] — no formula can score below it, so when the
+   floor already meets [cutoff] the whole extraction is skipped without
+   affecting any result.
 
-   Unlike [builder_finish], the returned tables are a zero-allocation
-   view into the scratch, left in ascending-key insertion order: key
-   order only sharpens the bounded scorer's pruning, never its results,
-   and on the decide hot path skipping the sort and the five per-length
-   array allocations outweighs the weaker per-candidate bound.  The view
-   fills only what the packed scorers read — keys, delta, gain_bound and
-   the totals; its taken/not_taken arrays are stale scratch contents, so
-   views must not be fed to the naive [mispredictions].  The view is
-   valid until the next build from the same scratch.  Requires a scratch
-   with [max_keys] >= 256. *)
-let tables_of_cells_below s ~cells ~off ~shift ~cutoff =
+   Unlike [tables_of_counts], the returned tables are a zero-allocation
+   view into the scratch, left in ascending-key order: key order only
+   sharpens the bounded scorer's pruning, never its results, and on the
+   decide hot path skipping the sort and the per-length array
+   allocations outweighs the weaker per-candidate bound.  The view is
+   valid until the next build from the same scratch. *)
+let tables_of_cells_below s ~cells ~off ~cutoff =
   let b_keys = s.b_keys and b_delta = s.b_delta in
   let occ = ref 0
   and n = ref 0
@@ -190,10 +111,10 @@ let tables_of_cells_below s ~cells ~off ~shift ~cutoff =
   let k0 = ref 0 in
   while !k0 < 256 && !floor < cutoff do
     for k = !k0 to !k0 + 63 do
-      let v = (Array.unsafe_get cells (off + k) lsr shift) land 0xFFFFFFFF in
+      let v = Array.unsafe_get cells (off + k) in
       if v <> 0 then begin
-        let t = v land 0xFFFF in
-        let nt = v lsr 16 in
+        let t = v land 0x7FFF_FFFF in
+        let nt = v lsr 31 in
         let d = t - nt in
         incr occ;
         t_total := !t_total + t;
@@ -216,22 +137,14 @@ let tables_of_cells_below s ~cells ~off ~shift ~cutoff =
   let n = !n in
   if !occ = 0 || !floor >= cutoff then None
   else begin
-    let b_gain = s.b_gain in
-    Array.unsafe_set b_gain n 0;
-    for i = n - 1 downto 0 do
-      let d = Array.unsafe_get b_delta i in
-      Array.unsafe_set b_gain i
-        (Array.unsafe_get b_gain (i + 1) + if d > 0 then d else 0)
-    done;
+    fill_gain_bound s.b_gain ~delta:b_delta ~n;
     Some
       {
         n_keys = !occ;
         n_scored = n;
         keys = b_keys;
-        taken = s.b_taken;
-        not_taken = s.b_not_taken;
         delta = b_delta;
-        gain_bound = b_gain;
+        gain_bound = s.b_gain;
         t_total = !t_total;
         nt_total = !nt_total;
         floor = !floor;
@@ -245,24 +158,11 @@ let distinct_keys t = t.n_keys
 (* Scoring                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Retained naive reference scorer: byte loads against a Bytes truth
-   table, one branch per key.  Kept as the differential-testing oracle
-   and the benchmark baseline. *)
-let mispredictions t ~truth =
-  let m = ref 0 in
-  for i = 0 to t.n_keys - 1 do
-    if Whisper_formula.Tree.eval_tt truth t.keys.(i) then
-      (* formula predicts taken: not-taken samples mispredict *)
-      m := !m + t.not_taken.(i)
-    else m := !m + t.taken.(i)
-  done;
-  !m
-
 (* Bit-parallel scorer.  A formula mispredicts
      m = sum_{truth(k)} nt_k + sum_{not truth(k)} t_k
        = t_total - sum_{truth(k)} (t_k - nt_k)
    so scoring is one branchless pass over the compact delta array with a
-   bitset test per key instead of a byte load plus two count loads. *)
+   bitset test per key. *)
 let mispredictions_packed t ~ptruth =
   let acc = ref 0 in
   let keys = t.keys and delta = t.delta in
@@ -276,27 +176,13 @@ let mispredictions_packed t ~ptruth =
 let always_mispredictions t = t.nt_total
 let never_mispredictions t = t.t_total
 
-let find t ~candidates ~truth_of =
-  if Array.length candidates = 0 then invalid_arg "Algorithm1.find";
-  let best_f = ref candidates.(0) in
-  let best_m = ref max_int in
-  Array.iter
-    (fun f ->
-      let m = mispredictions t ~truth:(truth_of f) in
-      if m < !best_m then begin
-        best_m := m;
-        best_f := f
-      end)
-    candidates;
-  (!best_f, !best_m)
-
 (* Bounded scorer: returns the exact misprediction count when it is below
    [cutoff], or -1 as soon as the count provably cannot drop below it.
    Since keys are sorted by decreasing |delta|, the optimistic remainder
    [gain_bound] collapses fast and losing candidates abort after a few
-   keys.  Exactness for winners is what keeps [find_packed] bit-identical
-   to [find]: a pruned candidate satisfies m >= cutoff = best so far, and
-   ties already resolve to the earlier candidate. *)
+   keys.  Exactness for winners is what keeps [find_packed] identical to
+   an exhaustive scan: a pruned candidate satisfies m >= cutoff = best so
+   far, and ties already resolve to the earlier candidate. *)
 let score_below t ~ptruth ~cutoff =
   let keys = t.keys and delta = t.delta and bound = t.gain_bound in
   let n = t.n_scored in

@@ -6,24 +6,21 @@
     samples: a formula [f] mispredicts every taken sample whose key does
     not satisfy [f] plus every not-taken sample whose key does.
 
-    Two scoring engines coexist.  The {e packed} engine
-    ({!mispredictions_packed} / {!find_packed}) scores against bitset
-    truth tables ({!Whisper_formula.Tree.packed_truth_table}) using the
-    identity [m = t_total - sum over satisfied keys of (t_k - nt_k)] over
-    a compact per-key delta array — keys with [t_k = nt_k] drop out of
-    the sum entirely and are never visited — prunes candidates through a
-    sorted-by-|delta| suffix bound, and stops the candidate scan
-    outright once some candidate reaches the irreducible floor
-    [sum min(t_k, nt_k)] that no formula can beat.  All of it
-    bit-identical to the naive engine, an order of magnitude faster.  The {e naive} engine
-    ({!mispredictions} / {!find}) walks [Bytes] truth tables one key at a
-    time; it is retained as the differential-testing oracle and the
-    benchmark reference. *)
+    Formulas are scored against bitset truth tables
+    ({!Whisper_formula.Tree.packed_truth_table}) using the identity
+    [m = t_total - sum over satisfied keys of (t_k - nt_k)] over a
+    compact per-key delta array — keys with [t_k = nt_k] drop out of the
+    sum entirely and are never visited.  The search prunes candidates
+    through a sorted-by-|delta| suffix bound, and stops the candidate
+    scan outright once some candidate reaches the irreducible floor
+    [sum min(t_k, nt_k)] that no formula can beat; all of it selects
+    exactly what an exhaustive scan would.  The naive per-key [Bytes]
+    engine lives in the test-only [whisper_oracle] library as the
+    differential oracle and benchmark reference. *)
 
 type tables
-(** Compacted (key, taken-count, not-taken-count) triples for one branch
-    at one history length, plus the derived delta array and pruning
-    bounds.  Tables from {!tables_of_counts} and {!builder_finish} own
+(** Compacted per-key deltas for one branch at one history length, plus
+    the totals and pruning bounds.  Tables from {!tables_of_counts} own
     their storage and are immutable; tables from
     {!tables_of_cells_below} are views into the scratch, valid only
     until its next build. *)
@@ -31,60 +28,28 @@ type tables
 (** {1 Building tables} *)
 
 type scratch
-(** Reusable workspace for table construction: one allocation serves any
-    number of sequential builds (the finished {!tables} owns its own
-    exactly-sized arrays).  Not safe to share across domains — give each
-    worker its own. *)
+(** Reusable workspace for {!tables_of_cells_below}: one allocation
+    serves any number of sequential builds.  Not safe to share across
+    domains — give each worker its own. *)
 
-val scratch : ?max_keys:int -> unit -> scratch
-(** Workspace for up to [max_keys] (default 256) distinct keys. *)
+val scratch : unit -> scratch
+(** Workspace for the 256 keys of the 8-bit hash space. *)
 
 val tables_of_counts : taken:int array -> not_taken:int array -> tables
-(** Build from dense per-key count arrays (length [2^hash_bits]) in a
-    single fused pass: key filtering, totals and compaction happen
-    together. *)
-
-val tables_of_counts_into :
-  scratch -> taken:int array -> not_taken:int array -> tables
-(** Like {!tables_of_counts}, but building through a caller-provided
-    {!scratch} to avoid the internal workspace allocation. *)
-
-(** {2 Incremental building}
-
-    For callers that already hold per-key counts in another layout (the
-    single-pass profile tabulation packs four counters per word), the
-    builder interface skips the dense intermediate arrays entirely:
-    [builder_reset], then [builder_add] once per distinct key, then
-    [builder_finish]. *)
-
-val builder_reset : scratch -> unit
-
-val builder_add : scratch -> key:int -> taken:int -> not_taken:int -> unit
-(** Keys may arrive in any order but at most once each; counts must be
-    non-negative.  At most [max_keys] calls between resets. *)
-
-val builder_finish : scratch -> tables
+(** Build from dense per-key count arrays (length [2^hash_bits]), keys
+    ordered by decreasing [|t_k - nt_k|]. *)
 
 val tables_of_cells_below :
-  scratch ->
-  cells:int array ->
-  off:int ->
-  shift:int ->
-  cutoff:int ->
-  tables option
+  scratch -> cells:int array -> off:int -> cutoff:int -> tables option
 (** Fused hot-path extraction over 256 packed counter cells:
-    [cells.(off + k)] holds key [k]'s taken count in bits
-    [shift .. shift+15] and not-taken count in bits
-    [shift+16 .. shift+31].  Returns [None] when no key is occupied, or
-    when the irreducible misprediction floor [sum min(t_k, nt_k)] — a
-    lower bound on {e any} formula's score — is at least [cutoff], so the
-    caller can skip the whole candidate scan exactly.  The returned
-    tables are a zero-allocation {e view} into the scratch, invalidated
-    by the scratch's next build — score them before building again.
-    Views serve the packed scorers only: they do not fill the per-key
-    taken/not-taken counts that {!mispredictions} reads (the totals,
-    {!distinct_keys} and both packed scorers are exact).  Requires a
-    scratch built for at least 256 keys. *)
+    [cells.(off + k)] holds key [k]'s taken count in bits [0 .. 30] and
+    its not-taken count in bits [31 .. 61].  Returns [None] when no key
+    is occupied, or when the irreducible misprediction floor
+    [sum min(t_k, nt_k)] — a lower bound on {e any} formula's score — is
+    at least [cutoff], so the caller can skip the whole candidate scan
+    exactly.  The returned tables are a zero-allocation {e view} into
+    the scratch, invalidated by the scratch's next build — score them
+    before building again. *)
 
 (** {1 Inspecting tables} *)
 
@@ -95,29 +60,16 @@ val distinct_keys : tables -> int
 
 (** {1 Scoring} *)
 
-val mispredictions : tables -> truth:Bytes.t -> int
-(** Mispredictions a formula (given as a [Bytes] truth table over keys)
-    incurs.  Naive reference scorer. *)
-
 val mispredictions_packed : tables -> ptruth:int array -> int
-(** Same count, computed branchlessly against a packed bitset truth
-    table.  [ptruth] must cover every key in the tables (8 words for the
-    8-bit hash space; unchecked, like {!Whisper_formula.Tree.eval_tt}). *)
+(** Mispredictions of the formula whose packed bitset truth table is
+    [ptruth], computed branchlessly.  [ptruth] must cover every key in
+    the tables (8 words for the 8-bit hash space; unchecked, like
+    {!Whisper_formula.Tree.eval_tt}). *)
 
 val always_mispredictions : tables -> int
 (** Mispredictions of the always-taken hint (= not-taken samples). *)
 
 val never_mispredictions : tables -> int
-
-val find :
-  tables ->
-  candidates:int array ->
-  truth_of:(int -> Bytes.t) ->
-  int * int
-(** [find tables ~candidates ~truth_of] returns [(formula_id, m')] — the
-    candidate with the minimum misprediction count [m'] (ties resolved to
-    the earlier candidate, matching the paper's sequential scan).
-    @raise Invalid_argument on an empty candidate set. *)
 
 val find_packed :
   tables ->
@@ -125,12 +77,13 @@ val find_packed :
   packed:int array array ->
   int * int * int
 (** [find_packed tables ~candidates ~packed] returns
-    [(index, formula_id, m')] for the winning candidate, where
-    [packed.(i)] is the packed truth table of [candidates.(i)] ([packed]
-    may be longer than [candidates]).  Winner and [m'] are exactly those
-    of {!find}: losing candidates are abandoned through an optimistic
-    suffix bound the moment they provably cannot beat the current best,
-    which never changes the selected formula.
+    [(index, formula_id, m')] for the winning candidate — the one with
+    the minimum misprediction count [m'], ties resolved to the earlier
+    candidate as in the paper's sequential scan — where [packed.(i)] is
+    the packed truth table of [candidates.(i)] ([packed] may be longer
+    than [candidates]).  Losing candidates are abandoned through an
+    optimistic suffix bound the moment they provably cannot beat the
+    current best, which never changes the selected formula.
     @raise Invalid_argument on an empty candidate set or when [packed] is
     shorter than [candidates]. *)
 
@@ -142,8 +95,8 @@ val find_packed_below :
   (int * int * int) option
 (** Like {!find_packed}, but only interested in candidates scoring
     strictly below [cutoff]: returns [None] when no candidate beats it.
-    Exactly equivalent to running {!find} and discarding a winner with
-    [m' >= cutoff] — callers that already hold a bound (the best choice
-    from other history lengths) let the scorer abandon hopeless
+    Exactly equivalent to running {!find_packed} and discarding a winner
+    with [m' >= cutoff] — callers that already hold a bound (the best
+    choice from other history lengths) let the scorer abandon hopeless
     candidates after a single bound comparison, or the whole table after
     one floor comparison. *)

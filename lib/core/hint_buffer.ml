@@ -30,7 +30,6 @@ let probe_hint t ~branch_pc =
   let p = probe t ~branch_pc in
   if p < 0 then None else Some (Brhint.decode p)
 
-let clear t = Intlru.clear t.store
 let insertions t = t.n_insert
 let hits t = t.n_hit
 let misses t = t.n_miss

@@ -53,8 +53,6 @@ val probe_hint : t -> branch_pc:int -> Brhint.t option
 (** {!probe} + decode.  Allocates on a hit — differential-oracle and
     test convenience, not the replay hot path. *)
 
-val clear : t -> unit
-
 val insertions : t -> int
 (** Total inserts (dynamic brhint executions observed). *)
 

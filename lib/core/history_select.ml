@@ -9,156 +9,20 @@ type choice = {
   samples : int;
 }
 
-(* Taken / not-taken count tables for one (branch, length).  [part]
-   selects all samples, or the even/odd half — the formula is chosen on
-   the train half and scored on the held-out half, so hints that merely
-   overfit the profile are rejected (cf. the paper's requirement that the
-   formula beat the profiled predictor's accuracy). *)
-let tables_at profile ~pc ~len_idx ~part =
-  let taken = Array.make 256 0 in
-  let not_taken = Array.make 256 0 in
-  let i = ref 0 in
-  Profile.iter_samples profile ~pc ~f:(fun ~raw8:_ ~raw56:_ ~hash ~taken:tk ~correct:_ ->
-      let keep =
-        match part with
-        | `All -> true
-        | `Train -> !i land 1 = 0
-        | `Eval -> !i land 1 = 1
-      in
-      incr i;
-      if keep then begin
-        let k = hash len_idx in
-        if tk then taken.(k) <- taken.(k) + 1
-        else not_taken.(k) <- not_taken.(k) + 1
-      end);
-  Algorithm1.tables_of_counts ~taken ~not_taken
-
-let search rnd profile ~pc ~len_idx ~candidates ~part =
-  let tables = tables_at profile ~pc ~len_idx ~part in
-  if Algorithm1.distinct_keys tables = 0 then None
-  else
-    let f, m =
-      Algorithm1.find tables ~candidates ~truth_of:(Randomized.truth_of rnd)
-    in
-    Some (f, m)
-
-let decide_at_length rnd profile ~pc ~len_idx =
-  let tables = tables_at profile ~pc ~len_idx ~part:`All in
-  if Algorithm1.distinct_keys tables = 0 then None
-  else
-    let _, f, m =
-      Algorithm1.find_packed tables
-        ~candidates:(Randomized.candidates rnd)
-        ~packed:(Randomized.packed_candidates rnd)
-    in
-    Some (f, m)
-
-let best_possible_at_length rnd profile ~pc ~len_idx ~explore =
-  let tables = tables_at profile ~pc ~len_idx ~part:`All in
-  if Algorithm1.distinct_keys tables = 0 then None
-  else
-    let _, f, m =
-      Algorithm1.find_packed tables
-        ~candidates:(Randomized.candidates_n rnd explore)
-        ~packed:(Randomized.packed_n rnd explore)
-    in
-    Some (f, m)
-
-(* Baseline mispredictions and direction counts over a sample part. *)
-let part_stats profile ~pc ~part =
-  let mispred = ref 0 and taken = ref 0 and n = ref 0 in
-  let i = ref 0 in
-  Profile.iter_samples profile ~pc ~f:(fun ~raw8:_ ~raw56:_ ~hash:_ ~taken:tk ~correct ->
-      let keep =
-        match part with
-        | `All -> true
-        | `Train -> !i land 1 = 0
-        | `Eval -> !i land 1 = 1
-      in
-      incr i;
-      if keep then begin
-        incr n;
-        if not correct then incr mispred;
-        if tk then incr taken
-      end);
-  (!mispred, !taken, !n)
-
-(* The seed implementation of [decide], kept verbatim: it is the oracle
-   the optimized path below is differentially tested against, the
-   benchmark's naive reference, and the fallback for branches whose
-   sample count overflows the packed tabulation counters. *)
-module Reference = struct
-  let decide ?min_gain (cfg : Config.t) rnd profile ~pc =
-    let min_gain = Option.value min_gain ~default:cfg.min_sample_gain in
-    let n_samples = Profile.n_samples profile ~pc in
-    if n_samples < 8 then None
-    else begin
-      (* Select the whole (bias-or-formula, length) choice on the train
-         half, then score only that single winner on the held-out half —
-         any selection on the eval half would re-introduce optimism. *)
-      let _, train_taken, train_n = part_stats profile ~pc ~part:`Train in
-      let train_nt = train_n - train_taken in
-      let best = ref (Brhint.Always_taken, 0, 0, train_nt) in
-      if train_taken < train_nt then
-        best := (Brhint.Never_taken, 0, 0, train_taken);
-      for len_idx = 0 to cfg.n_lengths - 1 do
-        match
-          search rnd profile ~pc ~len_idx
-            ~candidates:(Randomized.candidates rnd)
-            ~part:`Train
-        with
-        | None -> ()
-        | Some (f, train_m) ->
-            let _, _, _, cur = !best in
-            if train_m < cur then best := (Brhint.Formula, len_idx, f, train_m)
-      done;
-      let bias, len_idx, formula_id, _ = !best in
-      let eval_baseline, eval_taken, eval_n = part_stats profile ~pc ~part:`Eval in
-      let eval_m =
-        match bias with
-        | Brhint.Always_taken -> eval_n - eval_taken
-        | Brhint.Never_taken -> eval_taken
-        | Brhint.Dynamic -> eval_baseline
-        | Brhint.Formula ->
-            let eval_tables = tables_at profile ~pc ~len_idx ~part:`Eval in
-            Algorithm1.mispredictions eval_tables
-              ~truth:(Randomized.truth_of rnd formula_id)
-      in
-      (* marginal hints are the ones that regress on unseen inputs: require
-         the win to be a meaningful fraction of the branch's mispredictions *)
-      let required = max min_gain ((eval_baseline + 9) / 10) in
-      if eval_baseline - eval_m >= required then
-        Some
-          {
-            len_idx;
-            formula_id;
-            bias;
-            sample_mispred = eval_m;
-            baseline_mispred = eval_baseline;
-            samples = n_samples;
-          }
-      else None
-    end
-end
-
 (* ------------------------------------------------------------------ *)
 (* Single-pass tabulation + packed search                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The optimized [decide] reads each sample record exactly once: one scan
-   of the raw profile buffer fills all [n_lengths] count tables for both
-   halves at the same time.  Each (length, key) cell packs four 15/16-bit
-   counters into one native int:
+(* [decide] reads each sample record exactly once: one scan of the raw
+   profile buffer fills all [n_lengths] count tables for both halves at
+   the same time.  Each (length, half, key) cell packs two counters into
+   one native int:
 
-     bits  0..15  train taken        bits 32..47  eval taken
-     bits 16..31  train not-taken    bits 48..62  eval not-taken
+     bits  0..30  taken        bits 31..61  not-taken
 
-   The top field has only 15 usable bits in a 63-bit int, so branches
-   with more than 32767 samples take the Reference path instead (profile
-   collection caps samples far below that; the guard is for synthetic
-   profiles). *)
-let max_packed_samples = 32767
-
+   Half 0 holds the even (train) samples, half 1 the odd (eval) ones.  A
+   field holds up to 2^31 - 1, more samples than a half of any profile
+   that fits in memory. *)
 (* Stdlib's [Bytes.get_uint16_le] with the bounds check elided — the same
    compiler primitive the stdlib builds it from.  Native byte order; the
    caller guards for little-endian hosts. *)
@@ -166,15 +30,16 @@ external unsafe_get_uint16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 
 type scratch = {
   counts : int array;
-      (* n_lengths x 256 packed counter cells, flattened: length
-         [len_idx]'s cell for key [k] lives at [(len_idx lsl 8) lor k] *)
+      (* n_lengths x 2 x 256 packed counter cells, flattened: the cell of
+         length [len], half [half] and key [k] lives at
+         [(len lsl 9) lor (half lsl 8) lor k] *)
   mutable incs : int array;  (* per-sample counter increment, grown on demand *)
   alg : Algorithm1.scratch;
 }
 
 let scratch (cfg : Config.t) =
   {
-    counts = Array.make (cfg.n_lengths lsl 8) 0;
+    counts = Array.make (cfg.n_lengths lsl 9) 0;
     incs = Array.make 1024 0;
     alg = Algorithm1.scratch ();
   }
@@ -198,7 +63,7 @@ let dls_scratch : scratch option ref Domain.DLS.key =
 let domain_scratch (cfg : Config.t) =
   let cell = Domain.DLS.get dls_scratch in
   match !cell with
-  | Some s when Array.length s.counts >= cfg.n_lengths lsl 8 -> s
+  | Some s when Array.length s.counts >= cfg.n_lengths lsl 9 -> s
   | _ ->
       let s = scratch cfg in
       cell := Some s;
@@ -210,8 +75,8 @@ let domain_scratch (cfg : Config.t) =
 
    The walk is length-major: one stats pass computes each sample's
    packed counter increment into [s.incs], then each history length
-   streams the (L1-resident) record buffer against its own 2 KiB row of
-   [counts].  A sample-major walk touches all [nl] rows — the whole 32
+   streams the (L1-resident) record buffer against its own 4 KiB row of
+   [counts].  A sample-major walk touches all [nl] rows — the whole 64
    KiB table — per sample, thrashing L1 on every record. *)
 let tabulate (s : scratch) (v : Profile.raw_view) ~nl =
   let train_mispred = ref 0
@@ -242,18 +107,19 @@ let tabulate (s : scratch) (v : Profile.raw_view) ~nl =
       eval_taken := !eval_taken + tk;
       if flags land 2 = 0 then incr eval_mispred
     end;
-    Array.unsafe_set incs i (1 lsl (((i land 1) lsl 5) + 16 - (tk lsl 4)))
+    Array.unsafe_set incs i (1 lsl (31 - (31 * tk)))
   done;
   let l = ref 0 in
   if not Sys.big_endian then
     (* adjacent lengths' hash bytes are adjacent in the record: one
        16-bit load feeds two rows per sample *)
     while !l + 1 < nl do
-      let row0 = !l lsl 8 and row1 = (!l + 1) lsl 8 in
+      let row0 = !l lsl 9 and row1 = (!l + 1) lsl 9 in
       let pos = ref (hash_off + !l) in
       let i = ref 0 in
-      (* two samples per iteration: four independent row updates give the
-         out-of-order core something to overlap *)
+      (* two samples per iteration — the even (train) one into each row's
+         half 0, the odd (eval) one into half 1: four independent row
+         updates give the out-of-order core something to overlap *)
       while !i + 1 < n do
         let k2a = unsafe_get_uint16 buf !pos in
         let k2b = unsafe_get_uint16 buf (!pos + rb) in
@@ -265,12 +131,13 @@ let tabulate (s : scratch) (v : Profile.raw_view) ~nl =
         Array.unsafe_set counts idx0a (Array.unsafe_get counts idx0a + inca);
         let idx1a = row1 lor (k2a lsr 8) in
         Array.unsafe_set counts idx1a (Array.unsafe_get counts idx1a + inca);
-        let idx0b = row0 lor (k2b land 0xFF) in
+        let idx0b = row0 lor 0x100 lor (k2b land 0xFF) in
         Array.unsafe_set counts idx0b (Array.unsafe_get counts idx0b + incb);
-        let idx1b = row1 lor (k2b lsr 8) in
+        let idx1b = row1 lor 0x100 lor (k2b lsr 8) in
         Array.unsafe_set counts idx1b (Array.unsafe_get counts idx1b + incb)
       done;
       if !i < n then begin
+        (* odd [n]: the last sample is a train sample *)
         let k2 = unsafe_get_uint16 buf !pos in
         let inc = Array.unsafe_get incs !i in
         let idx0 = row0 lor (k2 land 0xFF) in
@@ -281,12 +148,12 @@ let tabulate (s : scratch) (v : Profile.raw_view) ~nl =
       l := !l + 2
     done;
   while !l < nl do
-    let row = !l lsl 8 in
+    let row = !l lsl 9 in
     let pos = ref (hash_off + !l) in
     for i = 0 to n - 1 do
       let k = Char.code (Bytes.unsafe_get buf !pos) in
       pos := !pos + rb;
-      let idx = row lor k in
+      let idx = row lor ((i land 1) lsl 8) lor k in
       Array.unsafe_set counts idx
         (Array.unsafe_get counts idx + Array.unsafe_get incs i)
     done;
@@ -295,17 +162,30 @@ let tabulate (s : scratch) (v : Profile.raw_view) ~nl =
   ( (!train_mispred, !train_taken, !train_n),
     (!eval_mispred, !eval_taken, !eval_n) )
 
+(* Restore the all-zero invariant by zeroing exactly the cells [tabulate]
+   touched: at most as many writes as tabulation made, where filling the
+   whole 64 KiB table costs more than the typical decide (profiles keep
+   at most 512 samples per branch by default). *)
+let untabulate (s : scratch) (v : Profile.raw_view) ~nl =
+  let buf = v.Profile.buf and rb = v.Profile.record_bytes in
+  for l = 0 to nl - 1 do
+    let row = l lsl 9 in
+    let pos = ref (v.Profile.hash_off + l) in
+    for i = 0 to v.Profile.n - 1 do
+      let k = Char.code (Bytes.unsafe_get buf !pos) in
+      pos := !pos + rb;
+      Array.unsafe_set s.counts (row lor ((i land 1) lsl 8) lor k) 0
+    done
+  done
+
 (* Compact one half of one length's packed counters into Algorithm-1
-   tables, or [None] when the length provably cannot beat [cutoff].
-   [shift] is 0 for the train half, 32 for eval. *)
-let extract_below (s : scratch) ~len_idx ~shift ~cutoff =
-  Algorithm1.tables_of_cells_below s.alg ~cells:s.counts ~off:(len_idx lsl 8)
-    ~shift ~cutoff
+   tables, or [None] when the length provably cannot beat [cutoff]. *)
+let extract_below (s : scratch) ~len_idx ~half ~cutoff =
+  Algorithm1.tables_of_cells_below s.alg ~cells:s.counts
+    ~off:((len_idx lsl 9) lor (half lsl 8))
+    ~cutoff
 
 let m_decides = Whisper_util.Telemetry.counter "history_select.decides"
-
-let m_reference_fallbacks =
-  Whisper_util.Telemetry.counter "history_select.reference_fallbacks"
 
 let m_floor_skipped =
   Whisper_util.Telemetry.counter "history_select.lengths_floor_skipped"
@@ -321,19 +201,11 @@ let decide ?min_gain ?scratch:sc (cfg : Config.t) rnd profile ~pc =
   | None -> None
   | Some v ->
       if v.Profile.n < 8 then None
-      else if v.Profile.n > max_packed_samples then begin
-        if Whisper_util.Telemetry.enabled () then begin
-          Whisper_util.Telemetry.incr m_decides;
-          Whisper_util.Telemetry.incr m_reference_fallbacks;
-          Whisper_util.Telemetry.observe h_samples v.Profile.n
-        end;
-        Reference.decide ~min_gain cfg rnd profile ~pc
-      end
       else begin
         let s =
           match sc with
           | Some s ->
-              if Array.length s.counts < nl lsl 8 then
+              if Array.length s.counts < nl lsl 9 then
                 invalid_arg "History_select.decide: scratch too small";
               s
           | None -> scratch cfg
@@ -354,7 +226,7 @@ let decide ?min_gain ?scratch:sc (cfg : Config.t) rnd profile ~pc =
           (* a length whose irreducible floor meets the running best
              cannot contribute the strict improvement the update below
              requires — extraction skips it exactly *)
-          match extract_below s ~len_idx ~shift:0 ~cutoff:cur with
+          match extract_below s ~len_idx ~half:0 ~cutoff:cur with
           | None -> incr floor_skipped
           | Some tables -> (
               match
@@ -372,13 +244,13 @@ let decide ?min_gain ?scratch:sc (cfg : Config.t) rnd profile ~pc =
           | Brhint.Never_taken -> eval_taken
           | Brhint.Dynamic -> eval_baseline
           | Brhint.Formula -> (
-              match extract_below s ~len_idx ~shift:32 ~cutoff:max_int with
+              match extract_below s ~len_idx ~half:1 ~cutoff:max_int with
               | Some eval_tables ->
                   Algorithm1.mispredictions_packed eval_tables
                     ~ptruth:packed.(best_idx)
               | None -> 0 (* no eval samples: matches scoring empty tables *))
         in
-        Array.fill s.counts 0 (nl lsl 8) 0;
+        untabulate s v ~nl;
         if Whisper_util.Telemetry.enabled () then begin
           Whisper_util.Telemetry.incr m_decides;
           Whisper_util.Telemetry.add m_floor_skipped !floor_skipped;

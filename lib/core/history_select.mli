@@ -11,13 +11,14 @@
     only a branch the formula beats gets a hint (otherwise it is left to
     the dynamic predictor).
 
-    {!decide} is the optimized engine: one scan of the branch's raw
-    sample records fills packed per-length taken/not-taken counters for
-    the train and eval halves simultaneously, and candidates are scored
-    through {!Algorithm1.find_packed} against the shared packed truth
-    tables.  {!Reference.decide} is the seed implementation, retained as
-    the differential-testing oracle and benchmark baseline; both return
-    identical choices on any profile. *)
+    One scan of the branch's raw sample records fills packed per-length
+    taken/not-taken counters for the train and eval halves
+    simultaneously, and candidates are scored through
+    {!Algorithm1.find_packed_below} against the shared packed truth
+    tables — one path for every sample count.  The seed implementation,
+    which re-tabulates per (length, half) and scores through [Bytes]
+    truth tables, lives in the test-only [whisper_oracle] library; the
+    two return identical choices on any profile. *)
 
 type choice = {
   len_idx : int;
@@ -71,34 +72,3 @@ val decide :
     avoids the internal workspace allocation when deciding many branches.
     Only shared read-only state of [rnd] is touched, so concurrent calls
     from several domains (each with its own scratch) are safe. *)
-
-(** The seed implementation — [Bytes] truth tables, per-(length, part)
-    profile re-scans.  Differential oracle and benchmark reference. *)
-module Reference : sig
-  val decide :
-    ?min_gain:int ->
-    Config.t ->
-    Randomized.t ->
-    Whisper_trace.Profile.t ->
-    pc:int ->
-    choice option
-end
-
-val decide_at_length :
-  Randomized.t ->
-  Whisper_trace.Profile.t ->
-  pc:int ->
-  len_idx:int ->
-  (int * int) option
-(** Best (formula_id, mispredictions) at one fixed length — the building
-    block of {!decide}, exposed for the Fig. 15 exploration sweep. *)
-
-val best_possible_at_length :
-  Randomized.t ->
-  Whisper_trace.Profile.t ->
-  pc:int ->
-  len_idx:int ->
-  explore:int ->
-  (int * int) option
-(** Like {!decide_at_length} but testing the first [explore] formulas of
-    the shared permutation. *)

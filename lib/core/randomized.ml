@@ -2,7 +2,6 @@ open Whisper_util
 
 type t = {
   perm : int array;  (* extended-encoding formula ids, shuffled once *)
-  n_candidates : int;
   cands : int array;  (* shared [perm] prefix — callers must not mutate *)
   packed : int array array;
       (* packed truth table per candidate, parallel to [cands]; built
@@ -10,12 +9,9 @@ type t = {
          read-only across domains without synchronization *)
   truths : (int, Bytes.t) Hashtbl.t;
   truths_lock : Mutex.t;
-      (* truth_of is the one lazy memo parallel searches can still reach
-         (via the Reference fallback for oversized branches), so its
-         Hashtbl is mutex-protected *)
-  mutable packed_ext : int array array;
-      (* grow-only packed tables for prefixes beyond [n_candidates]
-         (exploration sweeps); mutated lazily — single-domain only *)
+      (* parallel search reads only [packed]; [truth_of] serves hint
+         rescoring, which may run on any domain holding a shared [t],
+         so the lazy memo is mutex-protected *)
   leaves : int;
 }
 
@@ -51,12 +47,10 @@ let create (cfg : Config.t) =
   in
   {
     perm = ids;
-    n_candidates;
     cands;
     packed;
     truths = Hashtbl.create 256;
     truths_lock = Mutex.create ();
-    packed_ext = [||];
     leaves;
   }
 
@@ -64,29 +58,7 @@ let space t = Array.length t.perm
 let candidates t = t.cands
 let packed_candidates t = t.packed
 
-let candidates_n t n =
-  if n = t.n_candidates then t.cands
-  else Array.sub t.perm 0 (min n (Array.length t.perm))
-
 let tree_of t id = Whisper_formula.Tree.of_id ~leaves:t.leaves id
-
-let packed_n t n =
-  let n = min n (Array.length t.perm) in
-  if n <= t.n_candidates then t.packed
-  else begin
-    if Array.length t.packed_ext < n then begin
-      let old = t.packed_ext in
-      let ext =
-        Array.init n (fun i ->
-            if i < Array.length old then old.(i)
-            else if i < t.n_candidates then t.packed.(i)
-            else
-              Whisper_formula.Tree.packed_truth_table (tree_of t t.perm.(i)))
-      in
-      t.packed_ext <- ext
-    end;
-    t.packed_ext
-  end
 
 let truth_of t id =
   Mutex.protect t.truths_lock (fun () ->

@@ -25,24 +25,13 @@ val packed_candidates : t -> int array array
     parallel to {!candidates}.  Built once at {!create}; shared and safe
     to read concurrently from multiple domains. *)
 
-val candidates_n : t -> int -> int array
-(** First [n] ids of the permutation (for exploration sweeps, Fig. 15).
-    Returns the shared {!candidates} array when [n] equals its length,
-    a fresh copy otherwise. *)
-
-val packed_n : t -> int -> int array array
-(** Packed truth tables for the first [n] permutation ids (the result may
-    be longer than [n]; entries are parallel to the permutation).  Grows a
-    memo beyond the candidate prefix on demand — unlike
-    {!packed_candidates}, not safe to call concurrently. *)
-
 val space : t -> int
 (** Size of the searched space. *)
 
 val truth_of : t -> int -> Bytes.t
-(** Memoized [Bytes] truth table of a formula id (naive reference scorer
-    path).  The memo is mutex-protected: safe, if slow, to call from
-    multiple domains. *)
+(** Memoized [Bytes] truth table of a formula id (hint rescoring and the
+    test oracle's naive scorer).  The memo is mutex-protected: safe, if
+    slow, to call from multiple domains. *)
 
 val tree_of : t -> int -> Whisper_formula.Tree.t
 (** Decode an id according to the configured op family (classic ids are

@@ -19,8 +19,9 @@
     hints folded in as constant tables), a sentinel-int hint buffer
     whose payloads are plan-entry indices, and folded-history registers
     for only the lengths the plan reads.  The per-event path performs no
-    allocation and no hashing beyond the buffer probe.  {!Reference}
-    retains the original interpretive implementation; the two must agree
+    allocation and no hashing beyond the buffer probe.  The original
+    interpretive implementation is the differential oracle in the
+    test-only [whisper_oracle] library; the two must agree
     result-for-result and counter-for-counter on every trace — the
     differential tests and the replay bench assert exactly that. *)
 
@@ -58,27 +59,4 @@ val baseline_predictions : t -> int
 val buffer : t -> Hint_buffer.t
 
 val buffer_stats : t -> int * int * int
-(** [(insertions, hits, misses)] of the hint buffer — same shape as
-    {!Reference.buffer_stats} for differential comparison. *)
-
-(** The original interpretive runtime, retained verbatim as the
-    differential oracle: per-event [Inject.hints_at] Hashtbl lookups, a
-    lazily filled byte truth-table cache, an option-returning [Lru] hint
-    buffer, and folded updates over every configured length.  Must be
-    observationally identical to the compiled path (same correctness
-    verdicts, same counters, same buffer statistics); kept out of the
-    replay hot path. *)
-module Reference : sig
-  type t
-
-  val create :
-    Config.t -> baseline:Whisper_bpu.Predictor.t -> plan:Inject.t -> t
-
-  val exec : t -> Whisper_trace.Branch.event -> bool
-  val exec_at : t -> block:int -> pc:int -> taken:bool -> bool
-  val predictor_name : t -> string
-  val hinted_predictions : t -> int
-  val hinted_mispredictions : t -> int
-  val baseline_predictions : t -> int
-  val buffer_stats : t -> int * int * int
-end
+(** [(insertions, hits, misses)] of the hint buffer. *)

@@ -3,7 +3,10 @@
 
     The kernel is a single flat preallocated [int array] (set-major,
     way 0 = MRU), so [access]/[probe] are allocation-free and an instance
-    can be [reset] and reused across runs instead of rebuilt. *)
+    can be [reset] and reused across runs instead of rebuilt.  The
+    original array-of-arrays implementation is its differential oracle
+    in the test-only [whisper_oracle] library (see the cache fuzz
+    suite). *)
 
 type t
 
@@ -27,17 +30,3 @@ val probe : t -> int -> bool
 
 val hits : t -> int
 val misses : t -> int
-
-(** The original array-of-arrays implementation, retained verbatim as the
-    differential oracle for the flat kernel (see the cache fuzz suite). *)
-module Reference : sig
-  type t
-
-  val create :
-    ?bytes:int -> ?entries:int -> assoc:int -> line_bytes:int -> unit -> t
-
-  val access : t -> int -> bool
-  val probe : t -> int -> bool
-  val hits : t -> int
-  val misses : t -> int
-end

@@ -15,12 +15,6 @@ let total t = Hashtbl.fold (fun _ c acc -> acc + c) t 0
 
 let cardinal t = Hashtbl.length t
 
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t []
-
-let iter f t = Hashtbl.iter f t
-
-let fold f t init = Hashtbl.fold f t init
-
 let to_sorted_list t =
   Hashtbl.fold (fun k c acc -> (k, c) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -1,7 +1,7 @@
 (** Integer-keyed counting histograms.
 
-    Thin wrapper over [Hashtbl] used throughout profiling (taken / not-taken
-    tables of Algorithm 1, misprediction class counters, length buckets). *)
+    Thin wrapper over [Hashtbl] (injection planning's block
+    co-occurrence counts). *)
 
 type t
 
@@ -21,12 +21,6 @@ val total : t -> int
 
 val cardinal : t -> int
 (** Number of distinct keys. *)
-
-val keys : t -> int list
-(** Keys in unspecified order. *)
-
-val iter : (int -> int -> unit) -> t -> unit
-val fold : (int -> int -> 'b -> 'b) -> t -> 'b -> 'b
 
 val to_sorted_list : t -> (int * int) list
 (** Bindings sorted by key. *)

@@ -21,9 +21,6 @@ val get : t -> int -> int
     is the most recent outcome), as 0 or 1.  Outcomes older than [depth]
     read as 0.  @raise Invalid_argument if [i < 0]. *)
 
-val length_pushed : t -> int
-(** Total number of outcomes pushed since creation. *)
-
 val raw_window : t -> int -> int
 (** [raw_window t n] packs the last [n <= 62] outcomes into an int, with
     the most recent outcome in bit 0. *)

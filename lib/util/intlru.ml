@@ -68,8 +68,6 @@ let probe t k =
   let i = find_node t ~bucket:(bucket t k) k in
   if i < 0 then miss else Array.unsafe_get t.vals i
 
-let mem t k = find_node t ~bucket:(bucket t k) k >= 0
-
 let unlink_recency t i =
   let p = t.qprev.(i) and n = t.qnext.(i) in
   if p >= 0 then t.qnext.(p) <- n else t.head <- n;
@@ -123,13 +121,3 @@ let insert t k v =
     t.buckets.(b) <- i;
     push_front t i
   end
-
-let clear t =
-  Array.fill t.buckets 0 (Array.length t.buckets) (-1);
-  t.head <- -1;
-  t.tail <- -1;
-  t.len <- 0
-
-let fold f init t =
-  let rec go acc i = if i < 0 then acc else go (f acc t.keys.(i) t.vals.(i)) t.qnext.(i) in
-  go init t.head

@@ -30,15 +30,9 @@ val probe : t -> int -> int
 (** [probe t k] is [k]'s payload, or {!miss} ([-1]) when absent.  Does
     {b not} refresh [k]'s eviction position, and never allocates. *)
 
-val mem : t -> int -> bool
-
 val insert : t -> int -> int -> unit
 (** [insert t k v] binds [k] to payload [v >= 0], making [k] the most
     recently inserted key.  When [k] is new and the table is full, the
     least recently {e inserted} key is evicted first.
     @raise Invalid_argument if [v < 0]. *)
 
-val clear : t -> unit
-
-val fold : ('b -> int -> int -> 'b) -> 'b -> t -> 'b
-(** Fold over bindings from most- to least-recently inserted. *)

@@ -218,5 +218,4 @@ let decode_from_worker b =
           Whisper_error.raise_error ~offset:toff Whisper_error.Worker
             (Whisper_error.Out_of_range (Printf.sprintf "message tag %d" t)))
 
-let send_to_worker fd m = write_frame fd (encode_to_worker m)
 let send_from_worker fd m = write_frame fd (encode_from_worker m)

@@ -67,5 +67,4 @@ val decode_to_worker : bytes -> (to_worker, Whisper_error.t) result
 val encode_from_worker : from_worker -> bytes
 val decode_from_worker : bytes -> (from_worker, Whisper_error.t) result
 
-val send_to_worker : Unix.file_descr -> to_worker -> unit
 val send_from_worker : Unix.file_descr -> from_worker -> unit

@@ -12,9 +12,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Two generators created with
     the same seed produce identical streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t].  Streams of
     the parent and child are statistically independent. *)

@@ -340,31 +340,6 @@ let to_json s =
 let to_json_string s = Sjson.to_string_pretty (to_json s)
 let strip_wall_time j = Sjson.remove "spans" j
 
-let to_text s =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "== telemetry ==\n";
-  Buffer.add_string buf "counters:\n";
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-42s %12d\n" k v))
-    s.sn_counters;
-  if s.sn_hists <> [] then Buffer.add_string buf "histograms:\n";
-  List.iter
-    (fun (k, (h : Hist.t)) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-42s count=%d sum=%d min=%d max=%d\n" k h.count
-           h.sum h.min_v h.max_v))
-    s.sn_hists;
-  let agg = span_aggregates s in
-  if agg <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "spans (%d):\n" (List.length s.sn_spans));
-  List.iter
-    (fun (name, (c, t)) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-42s count=%-6d total=%.3fs\n" name c t))
-    agg;
-  Buffer.contents buf
-
 let summary_lines s =
   List.filter_map
     (fun (k, v) -> if v = 0 then None else Some (Printf.sprintf "%s = %d" k v))

@@ -128,10 +128,6 @@ val strip_wall_time : Sjson.t -> Sjson.t
 (** Drop the (wall-clock) [spans] member — what the [-j1] vs [-j4]
     equality check compares. *)
 
-val to_text : snapshot -> string
-(** Human-readable multi-line summary (counters, histograms, span
-    aggregates). *)
-
 val summary_lines : snapshot -> string list
 (** The end-of-run summary block: one ["name = value"] line per nonzero
     counter, sorted.  The single place run/fault/cache accounting is

@@ -72,3 +72,8 @@ let run_batch ~jobs ctx app techniques =
     (Array.of_list techniques)
   |> Array.to_list
   |> List.map (function Ok r -> r | Error e -> raise e)
+
+module Algorithm1 = Algorithm1_ref
+module History_select = History_select_ref
+module Runtime = Runtime_ref
+module Cache = Cache_ref

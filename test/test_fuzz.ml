@@ -325,8 +325,9 @@ let test_fuzz_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 (* The bit-parallel Algorithm-1 engine must be bit-identical to the
-   retained naive reference on arbitrary tables and the real candidate
-   sets of both formula families.  Reuses the decoder fuzz knobs:
+   naive oracle on arbitrary tables — built from dense counts and read
+   out of packed counter cells — and the real candidate sets of both
+   formula families.  Reuses the decoder fuzz knobs:
    WHISPER_FUZZ_CASES scales the number of random tables and
    WHISPER_FUZZ_SEED pins the stream. *)
 let test_scorer_equivalence () =
@@ -348,18 +349,35 @@ let test_scorer_equivalence () =
           not_taken.(k) <- not_taken.(k) + Rng.int rng 10
         done;
         let t = Algorithm1.tables_of_counts ~taken ~not_taken in
+        let naive_t =
+          Whisper_oracle.Algorithm1.tables_of_counts ~taken ~not_taken
+        in
+        let cells =
+          Array.init 256 (fun k -> taken.(k) lor (not_taken.(k) lsl 31))
+        in
+        let view =
+          Algorithm1.tables_of_cells_below (Algorithm1.scratch ()) ~cells ~off:0
+            ~cutoff:max_int
+        in
         Array.iteri
           (fun i id ->
             let naive =
-              Algorithm1.mispredictions t ~truth:(Randomized.truth_of rnd id)
+              Whisper_oracle.Algorithm1.mispredictions naive_t
+                ~truth:(Randomized.truth_of rnd id)
             in
             let fast = Algorithm1.mispredictions_packed t ~ptruth:packed.(i) in
-            if naive <> fast then
-              Alcotest.failf "scorer mismatch on id %d: naive %d packed %d" id
-                naive fast)
+            let cell =
+              match view with
+              | Some v -> Algorithm1.mispredictions_packed v ~ptruth:packed.(i)
+              | None -> 0
+            in
+            if naive <> fast || naive <> cell then
+              Alcotest.failf
+                "scorer mismatch on id %d: naive %d packed %d cells %d" id
+                naive fast cell)
           cands;
         let f, m =
-          Algorithm1.find t ~candidates:cands
+          Whisper_oracle.Algorithm1.find naive_t ~candidates:cands
             ~truth_of:(Randomized.truth_of rnd)
         in
         let i', f', m' = Algorithm1.find_packed t ~candidates:cands ~packed in
@@ -493,26 +511,26 @@ let test_compiled_runtime_equals_oracle_random_plans () =
         ~plan
     in
     let rf =
-      Runtime.Reference.create config
+      Whisper_oracle.Runtime.create config
         ~baseline:(Whisper_bpu.Bimodal.make ~log_entries:8)
         ~plan
     in
     for i = 0 to events - 1 do
       let c = Runtime.exec_arena rt ~arena i in
-      let r = Runtime.Reference.exec rf (Arena.event arena i) in
+      let r = Whisper_oracle.Runtime.exec rf (Arena.event arena i) in
       if c <> r then
         Alcotest.failf "plan case %d: verdict diverges at event %d (seed %d)"
           case i seed
     done;
-    check_int "hinted" (Runtime.Reference.hinted_predictions rf)
+    check_int "hinted" (Whisper_oracle.Runtime.hinted_predictions rf)
       (Runtime.hinted_predictions rt);
     check_int "hinted wrong"
-      (Runtime.Reference.hinted_mispredictions rf)
+      (Whisper_oracle.Runtime.hinted_mispredictions rf)
       (Runtime.hinted_mispredictions rt);
     check_int "baseline"
-      (Runtime.Reference.baseline_predictions rf)
+      (Whisper_oracle.Runtime.baseline_predictions rf)
       (Runtime.baseline_predictions rt);
-    if Runtime.buffer_stats rt <> Runtime.Reference.buffer_stats rf then
+    if Runtime.buffer_stats rt <> Whisper_oracle.Runtime.buffer_stats rf then
       Alcotest.failf "plan case %d: buffer statistics diverge (seed %d)" case
         seed
   done
@@ -636,7 +654,7 @@ let test_journal_every_truncation_point () =
 (* ------------------------------------------------------------------ *)
 
 (* The flat Cache kernel must be trace-identical to the retained
-   [Cache.Reference] implementation for arbitrary geometries — including
+   [Whisper_oracle.Cache] implementation for arbitrary geometries — including
    the degenerate corners no shipped config picks: direct-mapped
    (assoc = 1), fully associative (one set), tiny lines. *)
 let test_flat_cache_equals_reference () =
@@ -647,11 +665,12 @@ let test_flat_cache_equals_reference () =
   check_bool "non-power-of-two sets rejected identically" true
     (rejects (fun () -> Cache.create ~entries:6 ~assoc:2 ~line_bytes:64 ())
     = rejects (fun () ->
-          Cache.Reference.create ~entries:6 ~assoc:2 ~line_bytes:64 ()));
+          Whisper_oracle.Cache.create ~entries:6 ~assoc:2 ~line_bytes:64 ()));
   check_bool "double sizing rejected identically" true
     (rejects (fun () -> Cache.create ~bytes:4096 ~entries:64 ~assoc:2 ~line_bytes:64 ())
     = rejects (fun () ->
-          Cache.Reference.create ~bytes:4096 ~entries:64 ~assoc:2 ~line_bytes:64 ()));
+          Whisper_oracle.Cache.create ~bytes:4096 ~entries:64 ~assoc:2
+            ~line_bytes:64 ()));
   let geom_cases = max 12 (cases / 50) in
   for case = 1 to geom_cases do
     let line_bytes = 1 lsl Rng.int rng 8 in
@@ -666,11 +685,11 @@ let test_flat_cache_equals_reference () =
     let flat, oracle =
       if Rng.bool rng then
         ( Cache.create ~entries ~assoc ~line_bytes (),
-          Cache.Reference.create ~entries ~assoc ~line_bytes () )
+          Whisper_oracle.Cache.create ~entries ~assoc ~line_bytes () )
       else
         let bytes = entries * line_bytes in
         ( Cache.create ~bytes ~assoc ~line_bytes (),
-          Cache.Reference.create ~bytes ~assoc ~line_bytes () )
+          Whisper_oracle.Cache.create ~bytes ~assoc ~line_bytes () )
     in
     check_int "entries" entries (Cache.entries flat);
     (* a footprint a little over capacity keeps hits and misses mixed *)
@@ -680,22 +699,26 @@ let test_flat_cache_equals_reference () =
       Array.iteri
         (fun op (addr, is_probe) ->
           let a, b =
-            if is_probe then (Cache.probe flat addr, Cache.Reference.probe oracle addr)
-            else (Cache.access flat addr, Cache.Reference.access oracle addr)
+            if is_probe then
+              (Cache.probe flat addr, Whisper_oracle.Cache.probe oracle addr)
+            else
+              (Cache.access flat addr, Whisper_oracle.Cache.access oracle addr)
           in
           if a <> b then
             Alcotest.failf "case %d op %d: %s diverges (seed %d)" case op
               (if is_probe then "probe" else "access")
               seed)
         ops;
-      check_int "hits" (Cache.Reference.hits oracle) (Cache.hits flat);
-      check_int "misses" (Cache.Reference.misses oracle) (Cache.misses flat)
+      check_int "hits" (Whisper_oracle.Cache.hits oracle) (Cache.hits flat);
+      check_int "misses"
+        (Whisper_oracle.Cache.misses oracle)
+        (Cache.misses flat)
     in
     replay flat oracle;
     (* [reset] restores creation state exactly: the same trace against a
        reset instance agrees with a freshly built oracle *)
     Cache.reset flat;
-    replay flat (Cache.Reference.create ~entries ~assoc ~line_bytes ())
+    replay flat (Whisper_oracle.Cache.create ~entries ~assoc ~line_bytes ())
   done
 
 (* ------------------------------------------------------------------ *)
